@@ -7,11 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import EmptyDatabaseError, OpsigError, VocabularyMismatchError
 from .ingest import BENIGN_LABEL
-from .opgraph import OpcodeGraph
+from .opgraph import OpcodeGraph, scaled_l1
 from .signatures import SignatureDatabase
 
 MALWARE_VERDICT = "malware"
@@ -46,30 +44,19 @@ class Prediction:
         }
 
 
-class _Scorer:
-    """Signature matrices stacked once so batch scoring stays cheap."""
-
-    def __init__(self, db: SignatureDatabase):
-        if not db.signatures:
-            raise EmptyDatabaseError("signature database has no signatures")
-        self.vocabulary = db.vocabulary
-        self.ids = tuple(sig.signature_id for sig in db.signatures)
-        self.labels = {sig.signature_id: sig.class_label for sig in db.signatures}
-        self.stack = np.stack([sig.graph.weights for sig in db.signatures])
-        self.denom = 2.0 * db.vocabulary.size
-
-    def score(self, graph: OpcodeGraph, sample_id: str) -> Prediction:
-        if not (graph.vocab is self.vocabulary or graph.vocab == self.vocabulary):
-            raise VocabularyMismatchError(
-                f"sample {sample_id!r} was built on a different vocabulary"
-            )
-        distances = np.abs(self.stack - graph.weights).sum(axis=(1, 2)) / self.denom
-        np.clip(distances, 0.0, 1.0, out=distances)
-        ranking = tuple(
-            sorted(zip(self.ids, distances.tolist()), key=lambda e: (e[1], e[0]))
+def _nearest(graph: OpcodeGraph, db: SignatureDatabase, sample_id: str) -> Prediction:
+    if not (graph.vocab is db.vocabulary or graph.vocab == db.vocabulary):
+        raise VocabularyMismatchError(
+            f"sample {sample_id!r} was built on a different vocabulary"
         )
-        best_id, best_distance = ranking[0]
-        return Prediction(sample_id, self.labels[best_id], best_id, best_distance, ranking)
+    signatures = db.signatures
+    distances = scaled_l1(db.vectors, graph.vector, db.vocabulary.size).tolist()
+    order = sorted(
+        range(len(signatures)), key=lambda i: (distances[i], signatures[i].signature_id)
+    )
+    ranking = tuple((signatures[i].signature_id, distances[i]) for i in order)
+    best = signatures[order[0]]
+    return Prediction(sample_id, best.class_label, best.signature_id, distances[order[0]], ranking)
 
 
 def classify(
@@ -80,7 +67,9 @@ def classify(
     Exact distance ties are broken by lexicographic signature id, so results
     are deterministic.
     """
-    return _Scorer(db).score(sample_graph, sample_id)
+    if not db.signatures:
+        raise EmptyDatabaseError("signature database has no signatures")
+    return _nearest(sample_graph, db, sample_id)
 
 
 def classify_binary(
@@ -108,12 +97,13 @@ def classify_batch(
     """
     if not samples:
         return []
-    scorer = _Scorer(db)
+    if not db.signatures:
+        raise EmptyDatabaseError("signature database has no signatures")
 
     def work(item: tuple[str, OpcodeGraph]) -> Prediction | OpsigError:
         sample_id, graph = item
         try:
-            return scorer.score(graph, sample_id)
+            return _nearest(graph, db, sample_id)
         except OpsigError as err:
             return err
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import UnknownSampleError, VocabularyMismatchError
-from .opgraph import OpcodeGraph, same_vocabulary
+from .opgraph import OpcodeGraph, same_vocabulary, scaled_l1
 
 NOISE = -1
 DEFAULT_EPS_SCHEDULE = (0.01, 0.1)
@@ -53,15 +53,13 @@ def compute_distance_matrix(graphs: Sequence[tuple[str, OpcodeGraph]]) -> Distan
     for _, graph in graphs[1:]:
         if not same_vocabulary(first, graph):
             raise VocabularyMismatchError("all graphs must share one vocabulary")
-    stack = np.stack([graph.weights for _, graph in graphs])
+    stack = np.stack([graph.vector for _, graph in graphs])
     n = len(graphs)
     values = np.zeros((n, n))
-    denom = 2.0 * first.vocab.size
     for i in range(n - 1):
-        row = np.abs(stack[i + 1 :] - stack[i]).sum(axis=(1, 2)) / denom
+        row = scaled_l1(stack[i + 1 :], stack[i], first.vocab.size)
         values[i, i + 1 :] = row
         values[i + 1 :, i] = row
-    np.clip(values, 0.0, 1.0, out=values)
     return DistanceMatrix(ids, values)
 
 

@@ -93,6 +93,13 @@ def parse_disassembly_listing(
     return OpcodeSequence(sample_id, tuple(opcodes), label)
 
 
+def _read_sample_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read sample file {path}: {exc}") from exc
+
+
 def parse_sample_file(
     path: str | Path,
     sample_id: str | None = None,
@@ -101,10 +108,7 @@ def parse_sample_file(
 ) -> OpcodeSequence:
     """Read one sample file; ``dialect=None`` selects the mnemonic-per-line format."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read sample file {path}: {exc}") from exc
+    text = _read_sample_text(path)
     sid = sample_id if sample_id is not None else path.stem
     if dialect is None:
         return parse_mnemonic_lines(text, sid, label)
@@ -131,7 +135,7 @@ def load_corpus(root: str | Path) -> list[OpcodeSequence]:
                     f"duplicate sample id {sample_id!r} in {label!r} and {seen[sample_id]!r}"
                 )
             seen[sample_id] = label
-            samples.append(parse_mnemonic_lines(ops_file.read_text(encoding="utf-8"), sample_id, label))
+            samples.append(parse_mnemonic_lines(_read_sample_text(ops_file), sample_id, label))
     if not samples:
         raise EmptyCorpusError(f"no samples found under {root}")
     return samples

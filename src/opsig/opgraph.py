@@ -1,10 +1,14 @@
 """Bigram counting, vocabulary filtering, opcode graph construction and scoring.
 
-An opcode graph is a V x V matrix over a shared vocabulary whose entry (i, j)
-is the probability that opcode j follows opcode i in a sample. The distance
-between two graphs is the total absolute difference of their edge weights,
-scaled by 1 / (2V) so that scores live on [0, 1]: each row is a point on the
-probability simplex (or all zero), so one row pair contributes at most 2.
+An opcode graph over a shared vocabulary of V opcodes gives, for each cell
+(i, j), the probability that opcode j follows opcode i in a sample. Only the
+vocabulary's retained bigrams can carry weight, so a graph is stored as a
+vector with one weight per retained bigram, in row-major cell order; the
+V x V matrix is a derived view. The distance between two graphs is the total
+absolute difference of their weights, scaled by 1 / (2V) so that scores live
+on [0, 1]: each row is a point on the probability simplex (or all zero), so
+one row pair contributes at most 2. Clustering, classification and the
+similarity table all score graphs with the one kernel, ``scaled_l1``.
 """
 
 from __future__ import annotations
@@ -78,12 +82,39 @@ class OpcodeVocabulary:
         return {op: i for i, op in enumerate(self.opcodes)}
 
     @cached_property
-    def retained_mask(self) -> np.ndarray:
-        mask = np.zeros((self.size, self.size), dtype=bool)
-        for first, second in self.retained_bigrams:
-            mask[self.index[first], self.index[second]] = True
-        mask.setflags(write=False)
-        return mask
+    def flat_cells(self) -> np.ndarray:
+        """Flat index ``row * V + col`` of each retained bigram, ascending.
+
+        A graph vector has one slot per entry, so slots follow row-major cell order.
+        """
+        count, position = len(self.retained_bigrams), self.index.__getitem__
+        firsts, seconds = zip(*self.retained_bigrams) if count else ((), ())
+        rows = np.fromiter(map(position, firsts), np.intp, count)
+        flat = rows * self.size + np.fromiter(map(position, seconds), np.intp, count)
+        flat.sort()
+        return _read_only(flat)
+
+    @cached_property
+    def cell_rows(self) -> np.ndarray:
+        """Row index of each graph-vector slot."""
+        return _read_only(self.flat_cells // self.size)
+
+    @cached_property
+    def cell_cols(self) -> np.ndarray:
+        """Column index of each graph-vector slot."""
+        return _read_only(self.flat_cells % self.size)
+
+    @cached_property
+    def slots(self) -> dict[Bigram, int]:
+        """Position of each retained bigram in a graph vector."""
+        ops = self.opcodes
+        cells = zip(self.cell_rows.tolist(), self.cell_cols.tolist())
+        return {(ops[row], ops[col]): slot for slot, (row, col) in enumerate(cells)}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def build_vocabulary(
@@ -109,17 +140,52 @@ def build_vocabulary(
     return OpcodeVocabulary(tuple(opcodes), frozenset(retained), retain_fraction)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class OpcodeGraph:
-    """Row-normalized bigram transition matrix over a fixed vocabulary."""
+    """Row-normalized bigram transition weights over a fixed vocabulary.
+
+    ``vector`` holds one weight per retained bigram, in the vocabulary's slot
+    order. ``OpcodeGraph(vocab, weights)`` accepts the dense V x V form and
+    rejects weight on any cell outside the retained bigrams; ``from_vector``
+    wraps a vector directly.
+    """
 
     vocab: OpcodeVocabulary
-    weights: np.ndarray
+    vector: np.ndarray
 
-    def __post_init__(self) -> None:
-        expected = (self.vocab.size, self.vocab.size)
-        if self.weights.shape != expected:
-            raise ValueError(f"weights shape {self.weights.shape} != {expected}")
+    def __init__(self, vocab: OpcodeVocabulary, weights: np.ndarray) -> None:
+        weights = np.asarray(weights, dtype=float)
+        expected = (vocab.size, vocab.size)
+        if weights.shape != expected:
+            raise ValueError(f"weights shape {weights.shape} != {expected}")
+        vector = weights[vocab.cell_rows, vocab.cell_cols]
+        off_support = np.count_nonzero(weights) - np.count_nonzero(vector)
+        if off_support:
+            raise ValueError(f"{off_support} weights lie outside the retained bigrams")
+        self._set(vocab, vector)
+
+    @classmethod
+    def from_vector(cls, vocab: OpcodeVocabulary, vector: np.ndarray) -> "OpcodeGraph":
+        """Graph from a copy of ``vector``, one weight per slot of ``vocab``."""
+        vector = np.array(vector, dtype=float)
+        expected = vocab.flat_cells.shape
+        if vector.shape != expected:
+            raise ValueError(f"vector shape {vector.shape} != {expected}")
+        graph = cls.__new__(cls)
+        graph._set(vocab, vector)
+        return graph
+
+    def _set(self, vocab: OpcodeVocabulary, vector: np.ndarray) -> None:
+        vector.setflags(write=False)
+        object.__setattr__(self, "vocab", vocab)
+        object.__setattr__(self, "vector", vector)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only dense V x V view; zero outside the retained bigrams."""
+        dense = np.zeros((self.vocab.size, self.vocab.size))
+        dense[self.vocab.cell_rows, self.vocab.cell_cols] = self.vector
+        return _read_only(dense)
 
 
 def same_vocabulary(a: OpcodeGraph, b: OpcodeGraph) -> bool:
@@ -134,20 +200,18 @@ def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGr
     Returns the graph together with the number of occurrences dropped because
     their bigram is not retained.
     """
-    size = vocab.size
-    weights = np.zeros((size, size))
-    index = vocab.index
-    retained = vocab.retained_bigrams
-    dropped = 0
-    for bigram, count in counts.counts.items():
-        if bigram in retained:
-            weights[index[bigram[0]], index[bigram[1]]] = count
-        else:
-            dropped += count
-    row_sums = weights.sum(axis=1, keepdims=True)
-    np.divide(weights, row_sums, out=weights, where=row_sums > 0)
-    weights.setflags(write=False)
-    return OpcodeGraph(vocab, weights), dropped
+    slot_of = vocab.slots.get
+    n = len(counts.counts)
+    slots = np.fromiter((slot_of(bigram, -1) for bigram in counts.counts), np.intp, n)
+    values = np.fromiter(counts.counts.values(), np.int64, n)
+    kept = slots >= 0
+    dropped = int(values[~kept].sum())
+    vector = np.zeros(len(vocab.flat_cells))
+    vector[slots[kept]] = values[kept]
+    row_totals = np.bincount(vocab.cell_rows, weights=vector, minlength=vocab.size)
+    totals = row_totals[vocab.cell_rows]
+    np.divide(vector, totals, out=vector, where=totals > 0)
+    return OpcodeGraph.from_vector(vocab, vector), dropped
 
 
 def graph_for_sequence(seq: OpcodeSequence, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:
@@ -163,6 +227,15 @@ class ScoreValue:
     similarity: float
 
 
+def scaled_l1(vectors: np.ndarray, vector: np.ndarray, vocab_size: int) -> np.ndarray:
+    """sum(|vectors - vector|) / (2V) along the last axis, clipped to [0, 1].
+
+    ``vectors`` is one graph vector or a stack of them, one per row.
+    """
+    distances = np.abs(vectors - vector).sum(axis=-1) / (2.0 * vocab_size)
+    return np.clip(distances, 0.0, 1.0)
+
+
 def graph_distance(a: OpcodeGraph, b: OpcodeGraph) -> ScoreValue:
     """Scaled L1 distance between two graphs on the same vocabulary.
 
@@ -171,6 +244,5 @@ def graph_distance(a: OpcodeGraph, b: OpcodeGraph) -> ScoreValue:
     """
     if not same_vocabulary(a, b):
         raise VocabularyMismatchError("graphs use different vocabularies")
-    distance = float(np.abs(a.weights - b.weights).sum()) / (2.0 * a.vocab.size)
-    distance = min(max(distance, 0.0), 1.0)
+    distance = float(scaled_l1(a.vector, b.vector, a.vocab.size))
     return ScoreValue(distance, 1.0 - distance)

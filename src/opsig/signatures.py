@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import secrets
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -70,7 +74,7 @@ class Signature:
             and self.member_count == other.member_count
             and self.round_tag == other.round_tag
             and self.graph.vocab == other.graph.vocab
-            and np.array_equal(self.graph.weights, other.graph.weights)
+            and np.array_equal(self.graph.vector, other.graph.vector)
         )
 
 
@@ -171,6 +175,13 @@ class SignatureDatabase:
                     f"signature {sig.signature_id!r} uses a different vocabulary"
                 )
 
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Read-only stack of every signature's graph vector, in signature order."""
+        stack = np.stack([sig.graph.vector for sig in self.signatures])
+        stack.setflags(write=False)
+        return stack
+
     @property
     def class_labels(self) -> tuple[str, ...]:
         return tuple(sorted({s.class_label for s in self.signatures}))
@@ -244,14 +255,17 @@ def build_database(
 
 
 def _database_payload(db: SignatureDatabase) -> dict[str, object]:
-    index = db.vocabulary.index
-    retained = sorted([index[i], index[j]] for i, j in db.vocabulary.retained_bigrams)
+    vocab = db.vocabulary
+    cells = np.stack([vocab.cell_rows, vocab.cell_cols], axis=1).tolist()
+    keys = [str(i) for i in range(vocab.size)]
     entries = []
     for sig in db.signatures:
         rows: dict[str, dict[str, float]] = {}
-        nz_rows, nz_cols = np.nonzero(sig.graph.weights)
-        for r, c in zip(nz_rows.tolist(), nz_cols.tolist()):
-            rows.setdefault(str(r), {})[str(c)] = float(sig.graph.weights[r, c])
+        vector = sig.graph.vector
+        nonzero = np.flatnonzero(vector)
+        for slot, weight in zip(nonzero.tolist(), vector[nonzero].tolist()):
+            r, c = cells[slot]
+            rows.setdefault(keys[r], {})[keys[c]] = weight
         entries.append(
             {
                 "id": sig.signature_id,
@@ -265,9 +279,9 @@ def _database_payload(db: SignatureDatabase) -> dict[str, object]:
         "version": FORMAT_VERSION,
         "metadata": db.metadata,
         "vocabulary": {
-            "opcodes": list(db.vocabulary.opcodes),
-            "retain_fraction": db.vocabulary.retain_fraction,
-            "retained_bigrams": retained,
+            "opcodes": list(vocab.opcodes),
+            "retain_fraction": vocab.retain_fraction,
+            "retained_bigrams": cells,
         },
         "signatures": entries,
     }
@@ -278,17 +292,78 @@ def _canonical_text(payload: dict[str, object]) -> str:
 
 
 def save_database(db: SignatureDatabase, path: str | Path) -> None:
-    """Write the database as deterministic, checksummed JSON."""
+    """Write the database as deterministic, checksummed JSON.
+
+    The document goes to a temporary file beside ``path`` that then replaces
+    it, so a failed or interrupted save leaves any previous database intact.
+    """
     payload = _database_payload(db)
     checksum = hashlib.sha256(_canonical_text(payload).encode("utf-8")).hexdigest()
     document = dict(payload, checksum=checksum)
-    Path(path).write_text(
-        json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        temp.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.ndarray:
+    """Decode the signatures' sparse row maps into their graph vectors, one row each.
+
+    The cells of all signatures are checked and placed in one vectorized
+    step: each listed cell must be a distinct retained bigram with a weight
+    in (0, 1], and every row of every signature must sum to 0 or 1.
+    """
+    size, flat_cells = vocab.size, vocab.flat_cells
+    row_maps = [entry["rows"] for entry in entries]
+    rows = list(chain.from_iterable(map(dict.values, row_maps)))
+    cells_per_row = list(map(len, rows))
+    row_ids = _parse_indices(list(chain.from_iterable(row_maps)))
+    cols = _parse_indices(list(chain.from_iterable(rows)))
+    values = np.array(list(chain.from_iterable(map(dict.values, rows))), dtype=float)
+    if _out_of_range(row_ids, size) or _out_of_range(cols, size):
+        raise DatabaseFormatError(f"cell index outside [0, {size})")
+    if not np.all((values > 0.0) & (values <= 1.0)):
+        raise DatabaseFormatError("weights must lie in (0, 1]")
+    flat = np.repeat(row_ids, cells_per_row) * size + cols
+    slots = np.searchsorted(flat_cells, flat)
+    if not np.array_equal(flat_cells[np.minimum(slots, len(flat_cells) - 1)], flat):
+        raise DatabaseFormatError("weight on a bigram that is not retained")
+    row_owner = np.repeat(np.arange(len(row_maps)), list(map(len, row_maps)))
+    owner = np.repeat(row_owner, cells_per_row)
+    vectors = np.zeros((len(row_maps), len(flat_cells)))
+    vectors[owner, slots] = values
+    if np.count_nonzero(vectors) != len(values):
+        raise DatabaseFormatError("a cell is listed twice")
+    row_sums = np.bincount(
+        owner * size + vocab.cell_rows[slots], weights=values, minlength=vectors.shape[0] * size
     )
+    if not np.all((row_sums == 0.0) | (np.abs(row_sums - 1.0) <= 1e-9)):
+        raise DatabaseFormatError("a row's weights do not sum to 0 or 1")
+    return vectors
+
+
+def _parse_indices(keys: list[str]) -> np.ndarray:
+    """Decimal index keys as integers, parsed in one call."""
+    if not keys:
+        return np.zeros(0, dtype=np.int64)
+    text = ",".join(keys)
+    indices = np.fromstring(text, dtype=np.int64, sep=",")
+    # one field per key: no key holds a separator, and every field parsed to one integer
+    if text.count(",") != len(keys) - 1 or len(indices) != len(keys):
+        raise DatabaseFormatError("index keys must be single integers")
+    return indices
+
+
+def _out_of_range(indices: np.ndarray, size: int) -> bool:
+    return bool(((indices < 0) | (indices >= size)).any())
 
 
 def load_database(path: str | Path) -> SignatureDatabase:
-    """Load a database file, verifying version and checksum."""
+    """Load a database file, verifying version, checksum and validity."""
     raw = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(raw)
@@ -312,27 +387,27 @@ def load_database(path: str | Path) -> SignatureDatabase:
     try:
         vocab_doc = data["vocabulary"]
         opcodes = tuple(str(op) for op in vocab_doc["opcodes"])
-        retained = frozenset(
-            (opcodes[int(i)], opcodes[int(j)]) for i, j in vocab_doc["retained_bigrams"]
-        )
+        if len(set(opcodes)) != len(opcodes):
+            raise DatabaseFormatError("duplicate opcodes in the vocabulary")
+        pairs = vocab_doc["retained_bigrams"]
+        retained = frozenset((opcodes[i], opcodes[j]) for i, j in pairs)
+        indices = list(chain.from_iterable(pairs))
+        if indices and (min(indices) < 0 or max(indices) >= len(opcodes)):
+            raise DatabaseFormatError(f"bigram index outside [0, {len(opcodes)})")
         vocab = OpcodeVocabulary(opcodes, retained, float(vocab_doc["retain_fraction"]))
-        signatures = []
-        for entry in data["signatures"]:
-            weights = np.zeros((vocab.size, vocab.size))
-            for row_key, row in entry["rows"].items():
-                for col_key, weight in row.items():
-                    weights[int(row_key), int(col_key)] = float(weight)
-            weights.setflags(write=False)
-            signatures.append(
-                Signature(
-                    str(entry["id"]),
-                    str(entry["label"]),
-                    OpcodeGraph(vocab, weights),
-                    int(entry["member_count"]),
-                    str(entry["round_tag"]),
-                )
+        entries = data["signatures"]
+        signatures = [
+            Signature(
+                str(entry["id"]),
+                str(entry["label"]),
+                OpcodeGraph.from_vector(vocab, vector),
+                int(entry["member_count"]),
+                str(entry["round_tag"]),
             )
-        metadata = dict(data["metadata"])
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+            for entry, vector in zip(entries, _signature_vectors(entries, vocab))
+        ]
+        return SignatureDatabase(vocab, tuple(signatures), dict(data["metadata"]))
+    except DatabaseFormatError as exc:
+        raise DatabaseFormatError(f"{path}: invalid database document: {exc}") from exc
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
         raise DatabaseFormatError(f"{path}: malformed database document: {exc}") from exc
-    return SignatureDatabase(vocab, tuple(signatures), metadata)

@@ -67,6 +67,19 @@ class TestDomainErrors:
         assert code == 1
         capsys.readouterr()
 
+    def test_train_non_utf8_sample_exits_1(self, tmp_path, capsys):
+        (tmp_path / "corpus" / "famA").mkdir(parents=True)
+        (tmp_path / "corpus" / "famA" / "s1.ops").write_bytes(b"\xff\xfe")
+        code = dispatch([
+            "train", "--corpus", str(tmp_path / "corpus"),
+            "--db", str(tmp_path / "out.sigdb.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "s1.ops" in err
+        assert "Traceback" not in err
+
 
 class TestPipeline:
     def test_train_then_classify(self, tiny_corpus, tmp_path, capsys):

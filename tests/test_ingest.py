@@ -131,6 +131,12 @@ class TestLoadCorpus:
         with pytest.raises(EmptyCorpusError):
             load_corpus(tmp_path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        self._write(tmp_path, "famA", "ok", "mov\n")
+        (tmp_path / "famA" / "bad.ops").write_bytes(b"mov\n\xff\xfe\n")
+        with pytest.raises(ParseError, match="bad.ops"):
+            load_corpus(tmp_path)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         self._write(tmp_path, "famA", "dup", "mov\n")
         self._write(tmp_path, "famB", "dup", "push\n")
@@ -155,3 +161,9 @@ class TestParseSampleFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_sample_file(tmp_path / "gone.ops")
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "x.ops"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ParseError, match="x.ops"):
+            parse_sample_file(path)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -218,3 +220,175 @@ class TestDatabaseValidation:
         sig = build_signature([counts], table1_vocab, "fam", "r1", 0)
         with pytest.raises(ValueError):
             SignatureDatabase(table1_vocab, (sig, sig), {})
+
+
+def _resign(path, doc, sort_keys=True):
+    """Write ``doc`` back with a freshly computed, valid checksum."""
+    payload = {key: value for key, value in doc.items() if key != "checksum"}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(doc, sort_keys=sort_keys, indent=2) + "\n")
+
+
+class TestLoadValidity:
+    """Edited documents with a valid checksum must still describe a valid model."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        alphabet = default_alphabet(12)
+        corpus = []
+        for f, label in enumerate(("benign", "famA", "famB")):
+            model = make_family_model(alphabet, [50, f], family_label=label)
+            for k in range(4):
+                corpus.append(sample_sequence(model, 300, [51, f, k], sample_id=f"{label}{k}"))
+        db = build_database(corpus, retain_fraction=0.9)
+        path = tmp_path / "v.sigdb.json"
+        save_database(db, path)
+        return path, json.loads(path.read_text()), db
+
+    @staticmethod
+    def _first_cell(doc):
+        rows = doc["signatures"][0]["rows"]
+        row_key = sorted(rows, key=int)[0]
+        col_key = sorted(rows[row_key], key=int)[0]
+        return rows, row_key, col_key
+
+    def test_resigned_unchanged_document_loads(self, saved):
+        path, doc, db = saved
+        _resign(path, doc)
+        assert load_database(path) == db
+
+    @pytest.mark.parametrize("bad", ["-1", "99"])
+    def test_bad_column_index_rejected(self, saved, bad):
+        path, doc, _ = saved
+        rows, row_key, col_key = self._first_cell(doc)
+        rows[row_key][bad] = rows[row_key].pop(col_key)
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"cell index"):
+            load_database(path)
+
+    @pytest.mark.parametrize("bad", ["-1", "99"])
+    def test_bad_row_index_rejected(self, saved, bad):
+        path, doc, _ = saved
+        rows, row_key, _ = self._first_cell(doc)
+        rows[bad] = rows.pop(row_key)
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"cell index"):
+            load_database(path)
+
+    @pytest.mark.parametrize("bad", ["", "1 2", "1,2", "x"])
+    def test_non_integer_index_key_rejected(self, saved, bad):
+        path, doc, _ = saved
+        rows, row_key, col_key = self._first_cell(doc)
+        rows[row_key][bad] = rows[row_key].pop(col_key)
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError):
+            load_database(path)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_trailing_empty_key_rejected(self, saved, split):
+        path, doc, _ = saved
+        # a trailing "" yields one integer too few, which "a,b" would make up for
+        rows = doc["signatures"][-1]["rows"]
+        last = rows[list(rows)[-1]]
+        if split:
+            col_key = next(iter(last))
+            last[f"{col_key},{col_key}"] = last.pop(col_key)
+        last[""] = 0.0
+        _resign(path, doc, sort_keys=False)  # keep "" as the very last key
+        with pytest.raises(DatabaseFormatError, match=r"single integers"):
+            load_database(path)
+
+    def test_bad_retained_bigram_index_rejected(self, saved):
+        path, doc, _ = saved
+        doc["vocabulary"]["retained_bigrams"][0] = [-1, 0]
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"bigram index"):
+            load_database(path)
+
+    def test_weight_off_retained_support_rejected(self, saved):
+        path, doc, db = saved
+        vocab = db.vocabulary
+        retained = {tuple(pair) for pair in doc["vocabulary"]["retained_bigrams"]}
+        rows, row_key, col_key = self._first_cell(doc)
+        row = int(row_key)
+        free = next(c for c in range(vocab.size) if (row, c) not in retained)
+        # move half of one weight to a cell outside the support; the row still sums to 1
+        half = rows[row_key][col_key] / 2.0
+        rows[row_key][col_key] = half
+        rows[row_key][str(free)] = half
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"not retained"):
+            load_database(path)
+
+    def test_row_sum_not_zero_or_one_rejected(self, saved):
+        path, doc, _ = saved
+        rows, row_key, col_key = self._first_cell(doc)
+        rows[row_key][col_key] *= 0.5
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"sum to 0 or 1"):
+            load_database(path)
+
+    def test_negative_weight_rejected(self, saved):
+        path, doc, _ = saved
+        row = next(
+            row for entry in doc["signatures"] for row in entry["rows"].values() if len(row) >= 2
+        )
+        first, second = sorted(row)[:2]
+        # negate one weight and add twice its value to another: the sum stays 1
+        row[second] += 2.0 * row[first]
+        row[first] = -row[first]
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"\(0, 1\]"):
+            load_database(path)
+
+    def test_cell_listed_twice_rejected(self, saved):
+        path, doc, _ = saved
+        rows, row_key, col_key = self._first_cell(doc)
+        rows[row_key]["0" + col_key] = rows[row_key][col_key]  # the same column, spelled twice
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"listed twice"):
+            load_database(path)
+
+    def test_duplicate_opcode_rejected(self, saved):
+        path, doc, _ = saved
+        opcodes = doc["vocabulary"]["opcodes"]
+        opcodes[1] = opcodes[0]
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"duplicate opcodes"):
+            load_database(path)
+
+    def test_duplicate_signature_id_rejected(self, saved):
+        path, doc, _ = saved
+        doc["signatures"][1]["id"] = doc["signatures"][0]["id"]
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"unique"):
+            load_database(path)
+
+
+class TestAtomicSave:
+    def test_bytes_unchanged_and_no_temp_left(self, tmp_path):
+        db = build_database(toy_corpus(), retain_fraction=0.9)
+        path = tmp_path / "a.sigdb.json"
+        save_database(db, path)
+        first = path.read_bytes()
+        save_database(db, path)  # overwrite an existing file
+        assert path.read_bytes() == first
+        assert json.loads(first)["version"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.sigdb.json"]
+
+    def test_failed_replace_keeps_previous_database(self, tmp_path, monkeypatch):
+        old = build_database(toy_corpus(), retain_fraction=1.0)
+        path = tmp_path / "b.sigdb.json"
+        save_database(old, path)
+        before = path.read_bytes()
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        new = build_database(toy_corpus(), retain_fraction=0.9)
+        with pytest.raises(OSError):
+            save_database(new, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.sigdb.json"]

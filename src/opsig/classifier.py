@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import EmptyDatabaseError, OpsigError, VocabularyMismatchError
 from .ingest import BENIGN_LABEL
@@ -44,19 +44,35 @@ class Prediction:
         }
 
 
-def _nearest(graph: OpcodeGraph, db: SignatureDatabase, sample_id: str) -> Prediction:
-    if not (graph.vocab is db.vocabulary or graph.vocab == db.vocabulary):
-        raise VocabularyMismatchError(
-            f"sample {sample_id!r} was built on a different vocabulary"
+def _score(
+    samples: Sequence[tuple[str, OpcodeGraph]], db: SignatureDatabase
+) -> list[Prediction | OpsigError]:
+    """Rank every signature for every sample, with one sort over the whole batch.
+
+    Signatures are held in id order and the sort is stable, so equal
+    distances rank by signature id. A sample on another vocabulary gets a
+    ``VocabularyMismatchError`` in its slot.
+    """
+    vocab, signatures = db.vocabulary, db.signatures
+    results: list[Prediction | OpsigError | None] = [
+        None
+        if graph.vocab is vocab or graph.vocab == vocab
+        else VocabularyMismatchError(f"sample {sample_id!r} was built on a different vocabulary")
+        for sample_id, graph in samples
+    ]
+    scored = [i for i, result in enumerate(results) if result is None]
+    if scored:
+        distances = np.stack(
+            [scaled_l1(db.vectors, samples[i][1].vector, vocab.size) for i in scored]
         )
-    signatures = db.signatures
-    distances = scaled_l1(db.vectors, graph.vector, db.vocabulary.size).tolist()
-    order = sorted(
-        range(len(signatures)), key=lambda i: (distances[i], signatures[i].signature_id)
-    )
-    ranking = tuple((signatures[i].signature_id, distances[i]) for i in order)
-    best = signatures[order[0]]
-    return Prediction(sample_id, best.class_label, best.signature_id, distances[order[0]], ranking)
+        orders = np.argsort(distances, axis=1, kind="stable")
+        for i, row, order in zip(scored, distances.tolist(), orders.tolist()):
+            ranking = tuple((signatures[j].signature_id, row[j]) for j in order)
+            best = signatures[order[0]]
+            results[i] = Prediction(
+                samples[i][0], best.class_label, best.signature_id, row[order[0]], ranking
+            )
+    return results
 
 
 def classify(
@@ -69,7 +85,10 @@ def classify(
     """
     if not db.signatures:
         raise EmptyDatabaseError("signature database has no signatures")
-    return _nearest(sample_graph, db, sample_id)
+    (result,) = _score([(sample_id, sample_graph)], db)
+    if isinstance(result, OpsigError):
+        raise result
+    return result
 
 
 def classify_binary(
@@ -93,22 +112,11 @@ def classify_batch(
     """Classify many samples; output order matches input order.
 
     Per-sample domain errors are returned in place of a prediction instead of
-    aborting the batch. Results do not depend on the parallelism degree.
+    aborting the batch. Scoring runs on the calling thread; ``parallelism`` is
+    accepted for compatibility and ignored.
     """
     if not samples:
         return []
     if not db.signatures:
         raise EmptyDatabaseError("signature database has no signatures")
-
-    def work(item: tuple[str, OpcodeGraph]) -> Prediction | OpsigError:
-        sample_id, graph = item
-        try:
-            return _nearest(graph, db, sample_id)
-        except OpsigError as err:
-            return err
-
-    workers = parallelism if parallelism is not None else (os.cpu_count() or 1)
-    if workers <= 1:
-        return [work(item) for item in samples]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, samples))
+    return _score(samples, db)

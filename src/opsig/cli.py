@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--db", required=True, help="output database path")
     _add_pipeline_flags(p_train)
     p_train.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_train.add_argument("--parallelism", type=_positive_int, default=None)
     p_train.set_defaults(func=_cmd_train)
 
     p_classify = sub.add_parser("classify", help="classify one sample against a database")
@@ -125,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--k", type=_fold_count, default=DEFAULT_K)
     p_eval.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_pipeline_flags(p_eval)
-    p_eval.add_argument("--parallelism", type=_positive_int, default=None)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_cmp = sub.add_parser("compare-baseline",
@@ -135,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--k", type=_fold_count, default=DEFAULT_K)
     p_cmp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_pipeline_flags(p_cmp)
-    p_cmp.add_argument("--parallelism", type=_positive_int, default=None)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_inv = sub.add_parser("investigate", help="pairwise class similarity table")
@@ -169,7 +166,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         eps_schedule=args.eps,
         min_pts=args.min_pts,
         seed=args.seed,
-        parallelism=args.parallelism,
     )
     save_database(db, args.db)
     print(
@@ -202,7 +198,6 @@ def _eval_config(args: argparse.Namespace) -> EvalConfig:
         retain_fraction=args.retain,
         eps_schedule=tuple(args.eps),
         min_pts=args.min_pts,
-        parallelism=args.parallelism,
     )
 
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classifier import classify_batch
-from .clusterer import DEFAULT_EPS_SCHEDULE, DEFAULT_MIN_PTS
+from .clusterer import DEFAULT_EPS_SCHEDULE, DEFAULT_MIN_PTS, compute_distance_matrix
 from .errors import EmptyCorpusError, FoldPlanError, OpsigError
 from .ingest import BENIGN_LABEL, OpcodeSequence
 from .opgraph import (
@@ -25,7 +25,6 @@ from .opgraph import (
     OpcodeVocabulary,
     build_graph,
     count_bigrams,
-    graph_distance,
 )
 from .signatures import DEFAULT_SEED, build_database, build_monolithic_signature
 
@@ -41,7 +40,6 @@ class EvalConfig:
     retain_fraction: float = DEFAULT_RETAIN_FRACTION
     eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
     min_pts: int = DEFAULT_MIN_PTS
-    parallelism: int | None = None
     monolithic: bool = False
 
 
@@ -208,7 +206,6 @@ def run_crossval(
                 eps_schedule=config.eps_schedule,
                 min_pts=config.min_pts,
                 seed=seed,
-                parallelism=config.parallelism,
                 counts=counts_by_id,
                 monolithic=config.monolithic,
             )
@@ -217,7 +214,7 @@ def run_crossval(
                 graph, dropped = build_graph(counts_by_id[sample.sample_id], db.vocabulary)
                 dropped_test += dropped
                 batch.append((sample.sample_id, graph))
-            predictions = classify_batch(batch, db, config.parallelism)
+            predictions = classify_batch(batch, db)
             for sample, prediction in zip(test, predictions):
                 if isinstance(prediction, OpsigError):
                     raise prediction
@@ -267,16 +264,12 @@ def family_similarity_table(
     if len(by_label) < 2:
         raise ValueError("similarity table needs at least two classes")
     labels = tuple(sorted(by_label))
-    graphs = {
-        label: build_monolithic_signature(by_label[label], vocab, counts=counts).graph
+    graphs = [
+        (label, build_monolithic_signature(by_label[label], vocab, counts=counts).graph)
         for label in labels
-    }
-    values = np.full((len(labels), len(labels)), np.nan)
-    for i, first in enumerate(labels):
-        for j in range(i + 1, len(labels)):
-            similarity = graph_distance(graphs[first], graphs[labels[j]]).similarity
-            values[i, j] = similarity
-            values[j, i] = similarity
+    ]
+    values = 1.0 - compute_distance_matrix(graphs).values
+    np.fill_diagonal(values, np.nan)
     return SimilarityTable(labels, values)
 
 

@@ -232,7 +232,8 @@ def scaled_l1(vectors: np.ndarray, vector: np.ndarray, vocab_size: int) -> np.nd
 
     ``vectors`` is one graph vector or a stack of them, one per row.
     """
-    distances = np.abs(vectors - vector).sum(axis=-1) / (2.0 * vocab_size)
+    difference = vectors - vector
+    distances = np.abs(difference, out=difference).sum(axis=-1) / (2.0 * vocab_size)
     return np.clip(distances, 0.0, 1.0)
 
 

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import secrets
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -208,42 +207,36 @@ def build_database(
     eps_schedule: Iterable[float] = DEFAULT_EPS_SCHEDULE,
     min_pts: int = DEFAULT_MIN_PTS,
     seed: int = DEFAULT_SEED,
-    parallelism: int | None = None,
     counts: Mapping[str, BigramCounts] | None = None,
     monolithic: bool = False,
 ) -> SignatureDatabase:
     """Train a database: shared vocabulary, then per-class signatures.
 
     The vocabulary is filtered once over the merged counts of every class
-    (benign included); classes are processed independently, optionally on a
-    thread pool, and assembled in sorted label order either way.
+    (benign included); classes are then processed in sorted label order.
+    Each class's samples are clustered in ``sample_id`` order, so the result
+    does not depend on the order of ``samples``. ``seed`` is only recorded
+    in the metadata.
     """
     if not samples:
         raise EmptyCorpusError("cannot train on an empty corpus")
     by_label: dict[str, list[OpcodeSequence]] = {}
-    for sample in samples:
+    for sample in sorted(samples, key=lambda s: s.sample_id):
         if sample.label is None:
             raise ValueError(f"training sample {sample.sample_id!r} has no class label")
         by_label.setdefault(sample.label, []).append(sample)
     all_counts = _counts_for(samples, counts)
     vocab = build_vocabulary(merge_counts(all_counts.values()), retain_fraction)
     eps_values = tuple(float(e) for e in eps_schedule)
-
-    def signatures_for(label: str) -> list[Signature]:
+    signatures: list[Signature] = []
+    for label in sorted(by_label):
         class_samples = by_label[label]
         if monolithic:
-            return [build_monolithic_signature(class_samples, vocab, counts=all_counts)]
-        return build_class_signatures(
-            class_samples, vocab, eps_values, min_pts, counts=all_counts
-        )
-
-    labels = sorted(by_label)
-    if parallelism is not None and parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            per_label = list(pool.map(signatures_for, labels))
-    else:
-        per_label = [signatures_for(label) for label in labels]
-    signatures = tuple(sig for sigs in per_label for sig in sigs)
+            signatures.append(build_monolithic_signature(class_samples, vocab, all_counts))
+        else:
+            signatures.extend(
+                build_class_signatures(class_samples, vocab, eps_values, min_pts, counts=all_counts)
+            )
     metadata: dict[str, object] = {
         "retain_fraction": float(retain_fraction),
         "eps_schedule": [float(e) for e in eps_values],
@@ -251,7 +244,7 @@ def build_database(
         "seed": int(seed),
         "signature_mode": MONOLITHIC_TAG if monolithic else "clustered",
     }
-    return SignatureDatabase(vocab, signatures, metadata)
+    return SignatureDatabase(vocab, tuple(signatures), metadata)
 
 
 def _database_payload(db: SignatureDatabase) -> dict[str, object]:

@@ -186,16 +186,9 @@ class TestClassifyBatch:
         samples = [(f"s{i}", random_graph(vocab, rng)) for i in range(n_samples)]
         return db, vocab, samples
 
-    def test_parallelism_invariant(self):
-        db, _, samples = self._setup(100)
-        sequential = classify_batch(samples, db, parallelism=1)
-        threaded = classify_batch(samples, db, parallelism=8)
-        assert sequential == threaded
-        assert [p.sample_id for p in sequential] == [sid for sid, _ in samples]
-
     def test_matches_single_classify(self):
         db, _, samples = self._setup(20)
-        batch = classify_batch(samples, db, parallelism=4)
+        batch = classify_batch(samples, db)
         for (sid, graph), pred in zip(samples, batch):
             assert pred == classify(graph, db, sid)
 
@@ -207,8 +200,9 @@ class TestClassifyBatch:
         db, vocab, samples = self._setup(5)
         rng = np.random.default_rng(11)
         bad = ("bad", random_graph(make_vocab(9), rng))
-        results = classify_batch(samples[:2] + [bad] + samples[2:], db, parallelism=2)
+        results = classify_batch(samples[:2] + [bad] + samples[2:], db)
         assert isinstance(results[2], VocabularyMismatchError)
+        assert str(results[2]) == "sample 'bad' was built on a different vocabulary"
         others = results[:2] + results[3:]
         assert all(not isinstance(r, OpsigError) for r in others)
 

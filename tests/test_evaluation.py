@@ -150,12 +150,6 @@ class TestRunCrossval:
         assert a.metrics.to_csv() == b.metrics.to_csv()
         assert render_summary(a) == render_summary(b)
 
-    def test_parallelism_invariant(self):
-        corpus = model_corpus(per_class=8)
-        a = run_crossval(corpus, k=4, seed=5, config=EvalConfig(parallelism=1))
-        b = run_crossval(corpus, k=4, seed=5, config=EvalConfig(parallelism=4))
-        assert a.multiclass == b.multiclass
-
     def test_fold_failure_names_fold(self):
         corpus = constant_corpus()
         # retain fraction so aggressive that some fold's vocabulary drops a class

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from opsig.errors import EmptyCorpusError, EmptySampleError, ParseError
 from opsig.ingest import (
@@ -66,6 +67,17 @@ class TestParseMnemonicLines:
             seq = OpcodeSequence("s", opcodes, "lab")
             parsed = parse_mnemonic_lines(format_mnemonic_lines(seq), "s", "lab")
             assert parsed == seq
+
+    @given(
+        st.lists(
+            st.from_regex(r"[A-Za-z][A-Za-z0-9.]*", fullmatch=True).map(str.upper),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_round_trip_property(self, mnemonics):
+        seq = OpcodeSequence("s", tuple(mnemonics), "lab")
+        assert parse_mnemonic_lines(format_mnemonic_lines(seq), "s", "lab") == seq
 
 
 LISTING = """\

@@ -139,12 +139,6 @@ class TestBuildDatabase:
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
 
-    def test_parallelism_does_not_change_result(self):
-        corpus = toy_corpus()
-        a = build_database(corpus, retain_fraction=1.0)
-        b = build_database(corpus, retain_fraction=1.0, parallelism=4)
-        assert a == b
-
     def test_monolithic_mode(self):
         db = build_database(toy_corpus(), retain_fraction=1.0, monolithic=True)
         assert len(db.signatures) == 3

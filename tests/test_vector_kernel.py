@@ -131,8 +131,7 @@ def test_classify_batch_equals_single_classify(data):
     db = SignatureDatabase(vocab, signatures, {})
     # the same signature graphs re-used as samples give exact ties to break
     items = [(f"s{i}", g) for i, g in enumerate(sample_graphs + sig_graphs)]
-    parallelism = data.draw(st.sampled_from([1, 3]))
-    batch = classify_batch(items, db, parallelism=parallelism)
+    batch = classify_batch(items, db)
     assert batch == [classify(graph, db, sample_id) for sample_id, graph in items]
     assert not any(isinstance(result, OpsigError) for result in batch)
 

@@ -65,13 +65,24 @@ def _eps_schedule(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"invalid eps schedule {text!r}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"value must be >= 1, got {text}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
     return value
 
 
@@ -101,14 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate the default synthetic corpus")
     p_synth.add_argument("--out", required=True, help="corpus output directory")
-    p_synth.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_synth.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_train = sub.add_parser("train", help="build a signature database from a corpus")
     p_train.add_argument("--corpus", required=True)
     p_train.add_argument("--db", required=True, help="output database path")
     _add_pipeline_flags(p_train)
-    p_train.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_train.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_train.set_defaults(func=_cmd_train)
 
     p_classify = sub.add_parser("classify", help="classify one sample against a database")
@@ -122,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--corpus", required=True)
     p_eval.add_argument("--out", required=True, help="report output directory")
     p_eval.add_argument("--k", type=_fold_count, default=DEFAULT_K)
-    p_eval.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_eval.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_pipeline_flags(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -131,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--corpus", required=True)
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--k", type=_fold_count, default=DEFAULT_K)
-    p_cmp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_cmp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     _add_pipeline_flags(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 

@@ -49,16 +49,22 @@ def normalize_mnemonic(token: str) -> str:
 
 
 def parse_mnemonic_lines(text: str, sample_id: str, label: str | None = None) -> OpcodeSequence:
-    """Parse one opcode per non-blank, non-comment line, in file order."""
-    opcodes = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith(_COMMENT_PREFIX):
-            continue
-        opcodes.append(normalize_mnemonic(stripped))
-    if not opcodes:
+    """Parse one opcode per non-blank, non-comment line, in file order.
+
+    Internal whitespace is checked once per text: ``strip``, ``split`` and
+    ``splitlines`` share one whitespace definition, so a stripped line holds
+    whitespace exactly when it splits into more than one field. A text that
+    fails the check goes through ``normalize_mnemonic`` line by line, so the
+    first bad line raises.
+    """
+    kept = [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith(_COMMENT_PREFIX)]
+    if not kept:
         raise EmptySampleError(f"no opcodes parsed for sample {sample_id!r}")
-    return OpcodeSequence(sample_id, tuple(opcodes), label)
+    if len(" ".join(kept).split()) != len(kept):
+        for line in kept:
+            normalize_mnemonic(line)
+    return OpcodeSequence(sample_id, tuple(map(str.upper, kept)), label)
 
 
 def format_mnemonic_lines(seq: OpcodeSequence) -> str:

@@ -10,7 +10,9 @@ so a corpus is a pure function of its config.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -65,13 +67,25 @@ def _rng(seed: int | SeedPath) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class FamilyModel:
-    """A Markov opcode source: initial distribution plus transition matrix."""
+    """A Markov opcode source: initial distribution plus transition matrix.
+
+    The arrays are treated as fixed: the first walk caches their cumulative
+    rows.
+    """
 
     family_label: str
     subfamily_label: str
     alphabet: tuple[str, ...]
     initial: np.ndarray
     transition: np.ndarray
+
+    @cached_property
+    def _cdfs(self) -> tuple[list[float], list[list[float]]]:
+        """Cumulative initial and transition rows, as Python lists for ``bisect``."""
+        return (
+            np.cumsum(self.initial).tolist(),
+            np.cumsum(self.transition, axis=1).tolist(),
+        )
 
 
 def make_family_model(
@@ -139,20 +153,21 @@ def sample_sequence(
     sample_id: str = "sample",
     label: str | None = None,
 ) -> OpcodeSequence:
-    """Walk the chain for ``length`` steps; deterministic per seed."""
+    """Walk the chain for ``length`` steps; deterministic per seed.
+
+    Each state is ``bisect_right`` of one uniform draw on a cumulative row,
+    with the CDFs held as Python lists. ``hi=top`` clamps a draw beyond the
+    last entry of a row summing to less than 1 to the last opcode.
+    """
     if length < 2:
         raise ValueError("length must be >= 2")
-    rng = _rng(seed)
-    draws = rng.random(length)
-    initial_cdf = np.cumsum(model.initial)
-    transition_cdf = np.cumsum(model.transition, axis=1)
+    draws = _rng(seed).random(length).tolist()
+    initial_cdf, transition_cdf = model._cdfs
     top = len(model.alphabet) - 1
-    state = min(int(np.searchsorted(initial_cdf, draws[0], side="right")), top)
+    state = bisect_right(initial_cdf, draws[0], 0, top)
     states = [state]
-    for step in range(1, length):
-        state = min(
-            int(np.searchsorted(transition_cdf[state], draws[step], side="right")), top
-        )
+    for draw in draws[1:]:
+        state = bisect_right(transition_cdf[state], draw, 0, top)
         states.append(state)
     opcodes = tuple(model.alphabet[s] for s in states)
     return OpcodeSequence(sample_id, opcodes, label if label is not None else model.family_label)
@@ -187,6 +202,8 @@ class CorpusConfig:
             raise ValueError(f"invalid length_range {self.length_range}")
         if not 0.0 <= self.subfamily_perturbation <= 1.0:
             raise ValueError("subfamily_perturbation must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 DEFAULT_CONFIG = CorpusConfig()

@@ -44,6 +44,21 @@ class TestUsageErrors:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "compare-baseline"])
+    def test_negative_seed_exits_2(self, command, tiny_corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--out", str(out)],
+            "train": ["train", "--corpus", str(tiny_corpus), "--db", str(out)],
+            "eval": ["eval", "--corpus", str(tiny_corpus), "--out", str(out)],
+            "compare-baseline": [
+                "compare-baseline", "--corpus", str(tiny_corpus), "--out", str(out)
+            ],
+        }[command]
+        assert dispatch([*argv, "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_0(self, capsys):
         assert dispatch(["--help"]) == 0
         capsys.readouterr()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from opsig.errors import EmptyCorpusError, EmptySampleError, ParseError
 from opsig.ingest import (
@@ -78,6 +78,46 @@ class TestParseMnemonicLines:
     def test_round_trip_property(self, mnemonics):
         seq = OpcodeSequence("s", tuple(mnemonics), "lab")
         assert parse_mnemonic_lines(format_mnemonic_lines(seq), "s", "lab") == seq
+
+
+def per_line_parse(text, sample_id, label=None):
+    """Reference parser: ``normalize_mnemonic`` on every kept line."""
+    opcodes = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        opcodes.append(normalize_mnemonic(stripped))
+    if not opcodes:
+        raise EmptySampleError(f"no opcodes parsed for sample {sample_id!r}")
+    return OpcodeSequence(sample_id, tuple(opcodes), label)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, "s", "lab")
+    except (ParseError, EmptySampleError) as exc:
+        return type(exc), str(exc)
+
+
+# Letters, comment marks, a character that grows under upper(), a non-space
+# format character, and whitespace that is and is not a line boundary.
+_PIECES = st.sampled_from(
+    ["a", "b", "Z", "#", "\u00df", "\ufeff", " ", "\t", "\r\n", "\n",
+     "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+)
+
+
+class TestOnePassParse:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_PIECES, max_size=40).map("".join))
+    def test_equals_per_line_parse(self, text):
+        assert _outcome(parse_mnemonic_lines, text) == _outcome(per_line_parse, text)
+
+    def test_first_bad_line_named(self):
+        text = "mov\nrep movsb\nlock add\n"
+        with pytest.raises(ParseError, match="'rep movsb'"):
+            parse_mnemonic_lines(text, "s")
 
 
 LISTING = """\

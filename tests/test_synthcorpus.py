@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opsig.ingest import load_corpus
+from opsig.ingest import format_mnemonic_lines, load_corpus
 from opsig.synthcorpus import (
     CorpusConfig,
     FamilyModel,
@@ -89,7 +91,64 @@ class TestDeriveSubfamily:
         assert all(b >= a for a, b in zip(means, means[1:]))
 
 
+def searchsorted_walk(model, length, seed):
+    """Reference walk: one ``np.searchsorted`` per step, clamped to the last opcode."""
+    draws = np.random.default_rng(np.random.SeedSequence([seed])).random(length)
+    initial_cdf = np.cumsum(model.initial)
+    transition_cdf = np.cumsum(model.transition, axis=1)
+    top = len(model.alphabet) - 1
+    state = min(int(np.searchsorted(initial_cdf, draws[0], side="right")), top)
+    states = [state]
+    for step in range(1, length):
+        state = min(
+            int(np.searchsorted(transition_cdf[state], draws[step], side="right")), top
+        )
+        states.append(state)
+    return tuple(model.alphabet[s] for s in states)
+
+
+# Row weights mix exact zeros, short rows (sums below 1, so draws land past
+# the last CDF entry) and arbitrary magnitudes.
+_WEIGHT = st.one_of(
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False),
+)
+
+
+def _row(size, normalize):
+    def finish(weights):
+        total = sum(weights)
+        return [w / total for w in weights] if normalize and total > 0 else weights
+    return st.lists(_WEIGHT, min_size=size, max_size=size).map(finish)
+
+
+@st.composite
+def family_models(draw):
+    size = draw(st.integers(1, 6))
+    normalize = draw(st.booleans())
+    initial = draw(_row(size, normalize))
+    transition = [draw(_row(size, normalize)) for _ in range(size)]
+    alphabet = default_alphabet(size)
+    return FamilyModel("f", "f", alphabet, np.array(initial), np.array(transition))
+
+
 class TestSampleSequence:
+    @settings(max_examples=200, deadline=None)
+    @given(family_models(), st.integers(2, 300), st.integers(0, 2**32))
+    def test_equals_searchsorted_walk(self, model, length, seed):
+        assert sample_sequence(model, length, seed).opcodes == searchsorted_walk(
+            model, length, seed
+        )
+
+    def test_short_row_clamps_to_last_opcode(self):
+        model = FamilyModel(
+            "f", "f", ("A", "B", "C"), np.array([0.5, 0.3, 0.0]),
+            np.array([[0.5, 0.3, 0.0]] * 3),
+        )
+        seq = sample_sequence(model, 400, 1)
+        assert seq.opcodes == searchsorted_walk(model, 400, 1)
+        assert "C" in seq.opcodes
+
     def test_deterministic_chain_is_fully_determined(self):
         alphabet = ("A", "B", "C")
         transition = np.array([
@@ -187,6 +246,23 @@ class TestGenerateCorpus:
             CorpusConfig(length_range=(1, 10))
         with pytest.raises(ValueError):
             CorpusConfig(subfamily_perturbation=1.2)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            CorpusConfig(seed=-1)
+        assert CorpusConfig(seed=0).seed == 0
+
+    def test_default_corpus_bytes_pinned(self):
+        """SHA-256 over the seed-7 default corpus as written, in generation order."""
+        samples, manifest = generate_corpus()
+        digest = hashlib.sha256()
+        for seq in samples:
+            digest.update(f"{seq.label}/{seq.sample_id}\n".encode())
+            digest.update(format_mnemonic_lines(seq).encode())
+        digest.update((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
+        assert digest.hexdigest() == (
+            "13dba509dc1aca16f0109d9347bf0824cee9debab64f2c80a48fd6ab39b1230f"
+        )
 
 
 class TestWriteCorpus:

@@ -236,11 +236,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_investigate(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
-    counts = {s.sample_id: count_bigrams(s) for s in corpus}
-    vocab = build_vocabulary(merge_counts(counts.values()), args.retain)
-    table = family_similarity_table(corpus, vocab, counts=counts)
-    text = table.to_csv()
+    db = build_database(load_corpus(args.corpus), retain_fraction=args.retain, monolithic=True)
+    text = family_similarity_table(db).to_csv()
     print(text, end="")
     if args.out is not None:
         outdir = Path(args.out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,14 +19,8 @@ from .classifier import classify_batch
 from .clusterer import DEFAULT_EPS_SCHEDULE, DEFAULT_MIN_PTS, compute_distance_matrix
 from .errors import EmptyCorpusError, FoldPlanError, OpsigError
 from .ingest import BENIGN_LABEL, OpcodeSequence
-from .opgraph import (
-    DEFAULT_RETAIN_FRACTION,
-    BigramCounts,
-    OpcodeVocabulary,
-    build_graph,
-    count_bigrams,
-)
-from .signatures import DEFAULT_SEED, build_database, build_monolithic_signature
+from .opgraph import DEFAULT_RETAIN_FRACTION, BigramCounts, build_graph, count_bigrams
+from .signatures import DEFAULT_SEED, SignatureDatabase, build_database
 
 DEFAULT_K = 5
 
@@ -64,6 +58,8 @@ def stratified_kfold(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     by_label: dict[str, list[str]] = {}
     seen: set[str] = set()
     for sample in corpus:
@@ -250,24 +246,19 @@ class SimilarityTable:
         return "\n".join(lines) + "\n"
 
 
-def family_similarity_table(
-    corpus: Sequence[OpcodeSequence],
-    vocab: OpcodeVocabulary,
-    counts: Mapping[str, BigramCounts] | None = None,
-) -> SimilarityTable:
-    """One monolithic signature per class, then all pairwise similarities."""
-    by_label: dict[str, list[OpcodeSequence]] = {}
-    for sample in corpus:
-        if sample.label is None:
-            raise ValueError(f"sample {sample.sample_id!r} has no class label")
-        by_label.setdefault(sample.label, []).append(sample)
-    if len(by_label) < 2:
+def family_similarity_table(db: SignatureDatabase) -> SimilarityTable:
+    """All pairwise class similarities of a database with one signature per class.
+
+    Build the database with ``build_database(corpus, retain_fraction,
+    monolithic=True)``; classes appear in sorted label order.
+    """
+    labels = db.class_labels
+    if len(labels) < 2:
         raise ValueError("similarity table needs at least two classes")
-    labels = tuple(sorted(by_label))
-    graphs = [
-        (label, build_monolithic_signature(by_label[label], vocab, counts=counts).graph)
-        for label in labels
-    ]
+    if len(db.signatures) != len(labels):
+        raise ValueError("similarity table needs exactly one signature per class")
+    by_class = db.by_class()
+    graphs = [(label, by_class[label][0].graph) for label in labels]
     values = 1.0 - compute_distance_matrix(graphs).values
     np.fill_diagonal(values, np.nan)
     return SimilarityTable(labels, values)

@@ -306,19 +306,25 @@ def save_database(db: SignatureDatabase, path: str | Path) -> None:
 def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.ndarray:
     """Decode the signatures' sparse row maps into their graph vectors, one row each.
 
-    The cells of all signatures are checked and placed in one vectorized
-    step: each listed cell must be a distinct retained bigram with a weight
-    in (0, 1], and every row of every signature must sum to 0 or 1.
+    Row and column keys must be spelled as the saver writes them, ``"0"`` to
+    ``"V-1"``, so each key names one index and no cell can be listed twice.
+    The cells of all signatures are then checked and placed in one vectorized
+    step: each listed cell must be a retained bigram with a weight in (0, 1],
+    and every row of every signature must sum to 0 or 1.
     """
     size, flat_cells = vocab.size, vocab.flat_cells
+    lookup = {str(i): i for i in range(size)}.__getitem__
     row_maps = [entry["rows"] for entry in entries]
     rows = list(chain.from_iterable(map(dict.values, row_maps)))
     cells_per_row = list(map(len, rows))
-    row_ids = _parse_indices(list(chain.from_iterable(row_maps)))
-    cols = _parse_indices(list(chain.from_iterable(rows)))
+    try:
+        row_ids = np.array(list(map(lookup, chain.from_iterable(row_maps))), dtype=np.int64)
+        cols = np.array(list(map(lookup, chain.from_iterable(rows))), dtype=np.int64)
+    except KeyError as exc:
+        raise DatabaseFormatError(
+            f"cell index keys must be single integers in [0, {size}), got {exc.args[0]!r}"
+        ) from None
     values = np.array(list(chain.from_iterable(map(dict.values, rows))), dtype=float)
-    if _out_of_range(row_ids, size) or _out_of_range(cols, size):
-        raise DatabaseFormatError(f"cell index outside [0, {size})")
     if not np.all((values > 0.0) & (values <= 1.0)):
         raise DatabaseFormatError("weights must lie in (0, 1]")
     flat = np.repeat(row_ids, cells_per_row) * size + cols
@@ -329,8 +335,6 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
     owner = np.repeat(row_owner, cells_per_row)
     vectors = np.zeros((len(row_maps), len(flat_cells)))
     vectors[owner, slots] = values
-    if np.count_nonzero(vectors) != len(values):
-        raise DatabaseFormatError("a cell is listed twice")
     row_sums = np.bincount(
         owner * size + vocab.cell_rows[slots], weights=values, minlength=vectors.shape[0] * size
     )
@@ -339,20 +343,12 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
     return vectors
 
 
-def _parse_indices(keys: list[str]) -> np.ndarray:
-    """Decimal index keys as integers, parsed in one call."""
-    if not keys:
-        return np.zeros(0, dtype=np.int64)
-    text = ",".join(keys)
-    indices = np.fromstring(text, dtype=np.int64, sep=",")
-    # one field per key: no key holds a separator, and every field parsed to one integer
-    if text.count(",") != len(keys) - 1 or len(indices) != len(keys):
-        raise DatabaseFormatError("index keys must be single integers")
-    return indices
-
-
-def _out_of_range(indices: np.ndarray, size: int) -> bool:
-    return bool(((indices < 0) | (indices >= size)).any())
+def _typed(value: object, types: tuple[type, ...], name: str):
+    """``value`` if its type is exactly one of ``types`` (so a ``bool`` is no ``int``)."""
+    if type(value) not in types:
+        kinds = " or ".join(t.__name__ for t in types)
+        raise DatabaseFormatError(f"{name} must be {kinds}, got {value!r}")
+    return value
 
 
 def load_database(path: str | Path) -> SignatureDatabase:
@@ -379,7 +375,9 @@ def load_database(path: str | Path) -> SignatureDatabase:
         raise ChecksumMismatchError(f"{path}: checksum mismatch")
     try:
         vocab_doc = data["vocabulary"]
-        opcodes = tuple(str(op) for op in vocab_doc["opcodes"])
+        opcodes = tuple(
+            _typed(op, (str,), "opcode") for op in _typed(vocab_doc["opcodes"], (list,), "opcodes")
+        )
         if len(set(opcodes)) != len(opcodes):
             raise DatabaseFormatError("duplicate opcodes in the vocabulary")
         pairs = vocab_doc["retained_bigrams"]
@@ -387,19 +385,23 @@ def load_database(path: str | Path) -> SignatureDatabase:
         indices = list(chain.from_iterable(pairs))
         if indices and (min(indices) < 0 or max(indices) >= len(opcodes)):
             raise DatabaseFormatError(f"bigram index outside [0, {len(opcodes)})")
-        vocab = OpcodeVocabulary(opcodes, retained, float(vocab_doc["retain_fraction"]))
+        if len(retained) != len(pairs):
+            raise DatabaseFormatError("a retained bigram is listed twice")
+        retain_fraction = _typed(vocab_doc["retain_fraction"], (int, float), "retain_fraction")
+        vocab = OpcodeVocabulary(opcodes, retained, float(retain_fraction))
         entries = data["signatures"]
         signatures = [
             Signature(
-                str(entry["id"]),
-                str(entry["label"]),
+                _typed(entry["id"], (str,), "id"),
+                _typed(entry["label"], (str,), "label"),
                 OpcodeGraph.from_vector(vocab, vector),
-                int(entry["member_count"]),
-                str(entry["round_tag"]),
+                _typed(entry["member_count"], (int,), "member_count"),
+                _typed(entry["round_tag"], (str,), "round_tag"),
             )
             for entry, vector in zip(entries, _signature_vectors(entries, vocab))
         ]
-        return SignatureDatabase(vocab, tuple(signatures), dict(data["metadata"]))
+        metadata = _typed(data["metadata"], (dict,), "metadata")
+        return SignatureDatabase(vocab, tuple(signatures), metadata)
     except DatabaseFormatError as exc:
         raise DatabaseFormatError(f"{path}: invalid database document: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:

@@ -14,7 +14,7 @@ from opsig.evaluation import (
     write_crossval_reports,
 )
 from opsig.ingest import OpcodeSequence
-from opsig.opgraph import build_vocabulary, count_bigrams, merge_counts
+from opsig.signatures import build_database
 from opsig.synthcorpus import default_alphabet, make_family_model, sample_sequence
 
 
@@ -67,6 +67,10 @@ class TestStratifiedKfold:
     def test_deterministic(self):
         corpus = self._corpus({"a": 9, "b": 7})
         assert stratified_kfold(corpus, 3, 42) == stratified_kfold(corpus, 3, 42)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            stratified_kfold(self._corpus({"a": 4, "b": 4}), 2, -1)
 
     def test_seed_changes_assignment(self):
         corpus = self._corpus({"a": 30})
@@ -166,17 +170,13 @@ class TestFamilySimilarityTable:
         ] + [
             OpcodeSequence(f"b-{i}", opcodes, "famB") for i in range(3)
         ]
-        counts = {s.sample_id: count_bigrams(s) for s in corpus}
-        vocab = build_vocabulary(merge_counts(counts.values()), 1.0)
-        table = family_similarity_table(corpus, vocab, counts=counts)
+        table = family_similarity_table(build_database(corpus, 1.0, monolithic=True))
         i, j = table.labels.index("famA"), table.labels.index("famB")
         assert table.values[i, j] == 1.0
 
     def test_symmetry_and_diagonal(self):
-        corpus = model_corpus()
-        counts = {s.sample_id: count_bigrams(s) for s in corpus}
-        vocab = build_vocabulary(merge_counts(counts.values()), 1.0)
-        table = family_similarity_table(corpus, vocab, counts=counts)
+        table = family_similarity_table(build_database(model_corpus(), 1.0, monolithic=True))
+        assert table.labels == ("benign", "famA", "famB")
         np.testing.assert_array_equal(table.values, table.values.T)
         assert np.isnan(np.diagonal(table.values)).all()
         first_row = table.to_csv().splitlines()[1].split(",")
@@ -184,10 +184,25 @@ class TestFamilySimilarityTable:
 
     def test_requires_two_classes(self):
         corpus = [OpcodeSequence("x", ("MOV", "PUSH"), "famA")]
-        counts = {"x": count_bigrams(corpus[0])}
-        vocab = build_vocabulary(merge_counts(counts.values()), 1.0)
-        with pytest.raises(ValueError):
-            family_similarity_table(corpus, vocab, counts=counts)
+        with pytest.raises(ValueError, match=r"at least two classes"):
+            family_similarity_table(build_database(corpus, 1.0, monolithic=True))
+
+    def test_requires_one_signature_per_class(self):
+        # famA holds two unrelated patterns, so clustering gives it two signatures
+        patterns = {
+            "famA": [("MOV", "PUSH") * 12, ("CALL", "RET") * 12],
+            "famB": [("XOR", "NOP") * 12],
+        }
+        corpus = [
+            OpcodeSequence(f"{label}-{p}-{i}", opcodes, label)
+            for label, variants in patterns.items()
+            for p, opcodes in enumerate(variants)
+            for i in range(4)
+        ]
+        db = build_database(corpus, 1.0)
+        assert len(db.by_class()["famA"]) == 2
+        with pytest.raises(ValueError, match=r"one signature per class"):
+            family_similarity_table(db)
 
 
 class TestBaselineComparison:

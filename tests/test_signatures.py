@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from opsig.signatures import (
     load_database,
     save_database,
 )
-from opsig.synthcorpus import default_alphabet, make_family_model, sample_sequence
+from opsig.synthcorpus import (
+    default_alphabet,
+    generate_corpus,
+    make_family_model,
+    sample_sequence,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def toy_corpus():
@@ -32,6 +40,17 @@ def toy_corpus():
         samples.append(OpcodeSequence(f"b{i}", ("CALL", "RET") * 10, "famB"))
         samples.append(OpcodeSequence(f"n{i}", ("XOR", "NOP", "ADD") * 8, "benign"))
     return samples
+
+
+def validity_corpus():
+    """Three small Markov families over a 12-opcode alphabet."""
+    alphabet = default_alphabet(12)
+    corpus = []
+    for f, label in enumerate(("benign", "famA", "famB")):
+        model = make_family_model(alphabet, [50, f], family_label=label)
+        for k in range(4):
+            corpus.append(sample_sequence(model, 300, [51, f, k], sample_id=f"{label}{k}"))
+    return corpus
 
 
 class TestBuildSignature:
@@ -207,6 +226,20 @@ class TestSaveLoad:
         with pytest.raises(OSError):
             load_database(tmp_path / "gone.sigdb.json")
 
+    def test_default_database_bytes_pinned(self, tmp_path):
+        path = tmp_path / "default.sigdb.json"
+        save_database(build_database(generate_corpus()[0]), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "edd0b9f7b072ec52eb012ae8dd90b983fa4247d23f310661c2c53a189f3b3c91"
+
+    def test_earlier_release_database_loads_equal(self, tmp_path):
+        # written by commit 52ad75e, whose loader parsed index keys as numbers
+        saved = DATA / "saved_v1.sigdb.json"
+        loaded = load_database(saved)
+        assert loaded == build_database(validity_corpus(), retain_fraction=0.9)
+        save_database(loaded, tmp_path / "again.sigdb.json")
+        assert (tmp_path / "again.sigdb.json").read_bytes() == saved.read_bytes()
+
 
 class TestDatabaseValidation:
     def test_duplicate_ids_rejected(self, table1_vocab, seq1):
@@ -229,13 +262,7 @@ class TestLoadValidity:
 
     @pytest.fixture
     def saved(self, tmp_path):
-        alphabet = default_alphabet(12)
-        corpus = []
-        for f, label in enumerate(("benign", "famA", "famB")):
-            model = make_family_model(alphabet, [50, f], family_label=label)
-            for k in range(4):
-                corpus.append(sample_sequence(model, 300, [51, f, k], sample_id=f"{label}{k}"))
-        db = build_database(corpus, retain_fraction=0.9)
+        db = build_database(validity_corpus(), retain_fraction=0.9)
         path = tmp_path / "v.sigdb.json"
         save_database(db, path)
         return path, json.loads(path.read_text()), db
@@ -277,6 +304,19 @@ class TestLoadValidity:
         rows[row_key][bad] = rows[row_key].pop(col_key)
         _resign(path, doc)
         with pytest.raises(DatabaseFormatError):
+            load_database(path)
+
+    @pytest.mark.parametrize("prefix", ["0", " ", "+"])
+    @pytest.mark.parametrize("which", ["row", "column"])
+    def test_respelled_index_key_rejected(self, saved, prefix, which):
+        path, doc, _ = saved
+        rows, row_key, col_key = self._first_cell(doc)
+        if which == "row":
+            rows[prefix + row_key] = rows.pop(row_key)
+        else:
+            rows[row_key][prefix + col_key] = rows[row_key].pop(col_key)
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"single integers in \[0, 6\), got '"):
             load_database(path)
 
     @pytest.mark.parametrize("split", [False, True])
@@ -341,7 +381,7 @@ class TestLoadValidity:
         rows, row_key, col_key = self._first_cell(doc)
         rows[row_key]["0" + col_key] = rows[row_key][col_key]  # the same column, spelled twice
         _resign(path, doc)
-        with pytest.raises(DatabaseFormatError, match=r"listed twice"):
+        with pytest.raises(DatabaseFormatError, match=r"single integers"):
             load_database(path)
 
     def test_duplicate_opcode_rejected(self, saved):
@@ -357,6 +397,42 @@ class TestLoadValidity:
         doc["signatures"][1]["id"] = doc["signatures"][0]["id"]
         _resign(path, doc)
         with pytest.raises(DatabaseFormatError, match=r"unique"):
+            load_database(path)
+
+    @pytest.mark.parametrize(
+        "where, bad, name",
+        [
+            (("signatures", 0, "label"), None, "label"),
+            (("signatures", 0, "member_count"), 5.7, "member_count"),
+            (("signatures", 0, "member_count"), "3", "member_count"),
+            (("signatures", 0, "member_count"), True, "member_count"),
+            (("signatures", 0, "id"), 7, "id"),
+            (("signatures", 0, "round_tag"), ["x"], "round_tag"),
+            (("vocabulary", "opcodes", 0), 5, "opcode"),
+            (("vocabulary", "opcodes"), "ABCDEF", "opcodes"),  # six one-letter opcodes
+            (("vocabulary", "retain_fraction"), "0.9", "retain_fraction"),
+            (("vocabulary", "retain_fraction"), True, "retain_fraction"),
+            (("metadata",), [], "metadata"),
+            (("metadata",), [["seed", 7]], "metadata"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, saved, where, bad, name):
+        path, doc, _ = saved
+        *steps, key = where
+        target = doc
+        for step in steps:
+            target = target[step]
+        target[key] = bad
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=rf"{name} must be"):
+            load_database(path)
+
+    def test_duplicate_retained_bigram_rejected(self, saved):
+        path, doc, _ = saved
+        pairs = doc["vocabulary"]["retained_bigrams"]
+        pairs.append(list(pairs[0]))
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"retained bigram is listed twice"):
             load_database(path)
 
 

@@ -53,10 +53,7 @@ from .signatures import (
     DEFAULT_SEED,
     Signature,
     SignatureDatabase,
-    build_class_signatures,
     build_database,
-    build_monolithic_signature,
-    build_signature,
     load_database,
     save_database,
 )

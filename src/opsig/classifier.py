@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDatabaseError, OpsigError, VocabularyMismatchError
+from .errors import EmptyDatabaseError, EmptyGraphError, OpsigError, VocabularyMismatchError
 from .ingest import BENIGN_LABEL
 from .opgraph import OpcodeGraph, scaled_l1
 from .signatures import SignatureDatabase
@@ -51,15 +51,17 @@ def _score(
 
     Signatures are held in id order and the sort is stable, so equal
     distances rank by signature id. A sample on another vocabulary gets a
-    ``VocabularyMismatchError`` in its slot.
+    ``VocabularyMismatchError`` in its slot, and a sample with an all-zero
+    graph an ``EmptyGraphError``.
     """
     vocab, signatures = db.vocabulary, db.signatures
-    results: list[Prediction | OpsigError | None] = [
-        None
-        if graph.vocab is vocab or graph.vocab == vocab
-        else VocabularyMismatchError(f"sample {sample_id!r} was built on a different vocabulary")
-        for sample_id, graph in samples
-    ]
+    results: list[Prediction | OpsigError | None] = [None] * len(samples)
+    for i, (sample_id, graph) in enumerate(samples):
+        if not (graph.vocab is vocab or graph.vocab == vocab):
+            message = f"sample {sample_id!r} was built on a different vocabulary"
+            results[i] = VocabularyMismatchError(message)
+        elif not graph.vector.any():  # it would be nearest to the emptiest signature
+            results[i] = EmptyGraphError(f"sample {sample_id!r} has no retained bigram to match on")
     scored = [i for i, result in enumerate(results) if result is None]
     if scored:
         distances = np.stack(

@@ -21,6 +21,10 @@ class VocabularyMismatchError(OpsigError):
     """Raised when graphs built on different vocabularies are combined."""
 
 
+class EmptyGraphError(OpsigError):
+    """Raised when a sample's graph has no weight on any retained bigram."""
+
+
 class UnknownSampleError(OpsigError):
     """Raised when a sample id is not present in a distance matrix."""
 
@@ -31,6 +35,10 @@ class EmptyDatabaseError(OpsigError):
 
 class FoldPlanError(OpsigError):
     """Raised when a cross-validation plan cannot be built."""
+
+
+class SimilarityTableError(OpsigError):
+    """Raised when a database does not hold exactly one signature per class, for two or more."""
 
 
 class DatabaseError(OpsigError):

@@ -17,9 +17,15 @@ import numpy as np
 
 from .classifier import classify_batch
 from .clusterer import DEFAULT_EPS_SCHEDULE, DEFAULT_MIN_PTS, compute_distance_matrix
-from .errors import EmptyCorpusError, FoldPlanError, OpsigError
+from .errors import (
+    EmptyCorpusError,
+    EmptyGraphError,
+    FoldPlanError,
+    OpsigError,
+    SimilarityTableError,
+)
 from .ingest import BENIGN_LABEL, OpcodeSequence
-from .opgraph import DEFAULT_RETAIN_FRACTION, BigramCounts, build_graph, count_bigrams
+from .opgraph import DEFAULT_RETAIN_FRACTION, build_graph, count_bigrams
 from .signatures import DEFAULT_SEED, SignatureDatabase, build_database
 
 DEFAULT_K = 5
@@ -173,24 +179,24 @@ class CrossvalResult:
     diagnostics: dict[str, object] = field(default_factory=dict)
 
 
-def _corpus_counts(corpus: Sequence[OpcodeSequence]) -> dict[str, BigramCounts]:
-    return {sample.sample_id: count_bigrams(sample) for sample in corpus}
-
-
 def run_crossval(
     corpus: Sequence[OpcodeSequence],
     k: int = DEFAULT_K,
     seed: int = DEFAULT_SEED,
     config: EvalConfig | None = None,
 ) -> CrossvalResult:
-    """Aggregated k-fold evaluation; every sample is tested exactly once."""
+    """Aggregated k-fold evaluation; every sample is tested exactly once.
+
+    A test sample with an all-zero graph (no bigram its fold retains) is left
+    out of the matrices and counted in ``diagnostics["empty_test_graphs"]``.
+    """
     config = config or EvalConfig()
     plan = stratified_kfold(corpus, k, seed)
-    counts_by_id = _corpus_counts(corpus)
+    counts_by_id = {sample.sample_id: count_bigrams(sample) for sample in corpus}
     labels = tuple(sorted({sample.label for sample in corpus}))
     position = {label: i for i, label in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    dropped_test = 0
+    dropped_test = empty_test = 0
     signatures_per_fold: list[int] = []
     for fold in range(k):
         try:
@@ -212,6 +218,9 @@ def run_crossval(
                 batch.append((sample.sample_id, graph))
             predictions = classify_batch(batch, db)
             for sample, prediction in zip(test, predictions):
+                if isinstance(prediction, EmptyGraphError):
+                    empty_test += 1
+                    continue
                 if isinstance(prediction, OpsigError):
                     raise prediction
                 counts[position[sample.label], position[prediction.predicted_label]] += 1
@@ -223,6 +232,7 @@ def run_crossval(
     metrics = MetricsReport.from_matrices(multiclass, binary)
     diagnostics = {
         "dropped_test_bigrams": int(dropped_test),
+        "empty_test_graphs": empty_test,
         "signatures_per_fold": signatures_per_fold,
     }
     return CrossvalResult(multiclass, binary, metrics, k, seed, config, diagnostics)
@@ -254,9 +264,9 @@ def family_similarity_table(db: SignatureDatabase) -> SimilarityTable:
     """
     labels = db.class_labels
     if len(labels) < 2:
-        raise ValueError("similarity table needs at least two classes")
+        raise SimilarityTableError("similarity table needs at least two classes")
     if len(db.signatures) != len(labels):
-        raise ValueError("similarity table needs exactly one signature per class")
+        raise SimilarityTableError("similarity table needs exactly one signature per class")
     by_class = db.by_class()
     graphs = [(label, by_class[label][0].graph) for label in labels]
     values = 1.0 - compute_distance_matrix(graphs).values
@@ -304,7 +314,8 @@ def render_summary(result: CrossvalResult, title: str = "crossval") -> str:
     ]
     for label in result.multiclass.labels:
         lines.append(f"tpr[{label}]={result.metrics.per_class_tpr[label]:.4f}")
-    lines.append(f"dropped_test_bigrams={result.diagnostics.get('dropped_test_bigrams', 0)}")
+    for key in ("dropped_test_bigrams", "empty_test_graphs"):
+        lines.append(f"{key}={result.diagnostics.get(key, 0)}")
     return "\n".join(lines) + "\n"
 
 

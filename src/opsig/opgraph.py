@@ -192,6 +192,25 @@ def same_vocabulary(a: OpcodeGraph, b: OpcodeGraph) -> bool:
     return a.vocab is b.vocab or a.vocab == b.vocab
 
 
+def retained_counts(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[np.ndarray, int]:
+    """Counts of the retained bigrams in slot order, and the occurrences dropped."""
+    slot_of = vocab.slots.get
+    n = len(counts.counts)
+    slots = np.fromiter((slot_of(bigram, -1) for bigram in counts.counts), np.intp, n)
+    values = np.fromiter(counts.counts.values(), np.int64, n)
+    kept = slots >= 0
+    vector = np.zeros(len(vocab.flat_cells))
+    vector[slots[kept]] = values[kept]
+    return vector, int(values[~kept].sum())
+
+
+def normalized_graph(vector: np.ndarray, vocab: OpcodeVocabulary) -> OpcodeGraph:
+    """Graph from a retained-count vector: each row divided by its own total, if any."""
+    totals = np.bincount(vocab.cell_rows, weights=vector, minlength=vocab.size)[vocab.cell_rows]
+    vector = np.divide(vector, totals, out=np.zeros(len(totals)), where=totals > 0)
+    return OpcodeGraph.from_vector(vocab, vector)
+
+
 def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:
     """Build a graph from bigram counts over the retained vocabulary.
 
@@ -200,18 +219,8 @@ def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGr
     Returns the graph together with the number of occurrences dropped because
     their bigram is not retained.
     """
-    slot_of = vocab.slots.get
-    n = len(counts.counts)
-    slots = np.fromiter((slot_of(bigram, -1) for bigram in counts.counts), np.intp, n)
-    values = np.fromiter(counts.counts.values(), np.int64, n)
-    kept = slots >= 0
-    dropped = int(values[~kept].sum())
-    vector = np.zeros(len(vocab.flat_cells))
-    vector[slots[kept]] = values[kept]
-    row_totals = np.bincount(vocab.cell_rows, weights=vector, minlength=vocab.size)
-    totals = row_totals[vocab.cell_rows]
-    np.divide(vector, totals, out=vector, where=totals > 0)
-    return OpcodeGraph.from_vector(vocab, vector), dropped
+    vector, dropped = retained_counts(counts, vocab)
+    return normalized_graph(vector, vocab), dropped
 
 
 def graph_for_sequence(seq: OpcodeSequence, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:

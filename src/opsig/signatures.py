@@ -1,9 +1,10 @@
 """Cluster-level opcode-graph signatures and the persisted signature database.
 
-A signature is the graph built from the merged bigram counts of one group of
-samples, as if they were a single sample. The database bundles all per-class
-signatures with the shared vocabulary and is stored as a single versioned,
-checksummed JSON document with deterministic byte layout.
+A signature is the graph of one group of samples' merged bigram counts, as if
+they were a single sample: ``build_database``, the one way to make them, sums
+the members' retained-count rows and row-normalises the sum. The database
+bundles all per-class signatures with the shared vocabulary and is stored as
+a single versioned, checksummed JSON document with deterministic byte layout.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from .opgraph import (
     BigramCounts,
     OpcodeGraph,
     OpcodeVocabulary,
-    build_graph,
     build_vocabulary,
     count_bigrams,
     merge_counts,
+    normalized_graph,
+    retained_counts,
 )
 
 FORMAT_VERSION = 1
@@ -75,82 +77,6 @@ class Signature:
             and self.graph.vocab == other.graph.vocab
             and np.array_equal(self.graph.vector, other.graph.vector)
         )
-
-
-def build_signature(
-    member_counts: Sequence[BigramCounts],
-    vocab: OpcodeVocabulary,
-    class_label: str,
-    round_tag: str = "r1",
-    ordinal: int = 0,
-) -> Signature:
-    """Merge the members' bigram counts key-wise and build one graph from them."""
-    if not member_counts:
-        raise ValueError("a signature needs at least one member")
-    merged = merge_counts(member_counts)
-    graph, _ = build_graph(merged, vocab)
-    signature_id = f"{class_label}/{round_tag}/{ordinal}"
-    return Signature(signature_id, class_label, graph, len(member_counts), round_tag)
-
-
-def _uniform_label(samples: Sequence[OpcodeSequence]) -> str:
-    if not samples:
-        raise ValueError("at least one sample is required")
-    label = samples[0].label
-    if label is None or any(s.label != label for s in samples):
-        raise ValueError("samples must share one non-empty class label")
-    return label
-
-
-def _counts_for(
-    samples: Sequence[OpcodeSequence],
-    counts: Mapping[str, BigramCounts] | None,
-) -> dict[str, BigramCounts]:
-    if counts is None:
-        return {s.sample_id: count_bigrams(s) for s in samples}
-    return {s.sample_id: counts[s.sample_id] for s in samples}
-
-
-def build_class_signatures(
-    samples: Sequence[OpcodeSequence],
-    vocab: OpcodeVocabulary,
-    eps_schedule: Iterable[float] = DEFAULT_EPS_SCHEDULE,
-    min_pts: int = DEFAULT_MIN_PTS,
-    counts: Mapping[str, BigramCounts] | None = None,
-) -> list[Signature]:
-    """Cluster one class's samples and build a signature per group.
-
-    Singleton leftovers yield singleton signatures, so every sample of the
-    class is covered by exactly one signature.
-    """
-    label = _uniform_label(samples)
-    class_counts = _counts_for(samples, counts)
-    graphs = [(s.sample_id, build_graph(class_counts[s.sample_id], vocab)[0]) for s in samples]
-    matrix = compute_distance_matrix(graphs)
-    cluster_set = multi_round_cluster(matrix, eps_schedule, min_pts, family=label)
-    signatures = []
-    ordinals: dict[str, int] = {}
-    for group in cluster_set.groups:
-        ordinal = ordinals.get(group.round_tag, 0)
-        ordinals[group.round_tag] = ordinal + 1
-        member_counts = [class_counts[sid] for sid in group.member_ids]
-        signatures.append(
-            build_signature(member_counts, vocab, label, group.round_tag, ordinal)
-        )
-    return signatures
-
-
-def build_monolithic_signature(
-    samples: Sequence[OpcodeSequence],
-    vocab: OpcodeVocabulary,
-    counts: Mapping[str, BigramCounts] | None = None,
-) -> Signature:
-    """One signature from all samples of a class, bypassing clustering."""
-    label = _uniform_label(samples)
-    class_counts = _counts_for(samples, counts)
-    return build_signature(
-        [class_counts[s.sample_id] for s in samples], vocab, label, MONOLITHIC_TAG, 0
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,6 +127,38 @@ class SignatureDatabase:
         )
 
 
+def _signature(
+    rows: np.ndarray, vocab: OpcodeVocabulary, label: str, round_tag: str, ordinal: int
+) -> Signature:
+    """The signature of a group whose members' retained counts are ``rows``."""
+    graph = normalized_graph(rows.sum(axis=0), vocab)
+    return Signature(f"{label}/{round_tag}/{ordinal}", label, graph, len(rows), round_tag)
+
+
+def _class_signatures(
+    rows: np.ndarray,
+    vocab: OpcodeVocabulary,
+    label: str,
+    eps_schedule: tuple[float, ...],
+    min_pts: int,
+) -> list[Signature]:
+    """Cluster one class's samples, given as count rows, and build a signature per group.
+
+    Singleton leftovers yield singleton signatures, so every sample of the
+    class is covered by exactly one signature.
+    """
+    # a sample is named by its row position, so each group's member ids index ``rows``
+    graphs = [(str(i), normalized_graph(row, vocab)) for i, row in enumerate(rows)]
+    matrix = compute_distance_matrix(graphs)
+    signatures = []
+    ordinals: dict[str, int] = {}
+    for group in multi_round_cluster(matrix, eps_schedule, min_pts, family=label).groups:
+        ordinal = ordinals[group.round_tag] = ordinals.get(group.round_tag, -1) + 1
+        members = [int(i) for i in group.member_ids]
+        signatures.append(_signature(rows[members], vocab, label, group.round_tag, ordinal))
+    return signatures
+
+
 def build_database(
     samples: Sequence[OpcodeSequence],
     retain_fraction: float = DEFAULT_RETAIN_FRACTION,
@@ -220,23 +178,24 @@ def build_database(
     """
     if not samples:
         raise EmptyCorpusError("cannot train on an empty corpus")
-    by_label: dict[str, list[OpcodeSequence]] = {}
-    for sample in sorted(samples, key=lambda s: s.sample_id):
+    ordered = sorted(samples, key=lambda s: s.sample_id)
+    by_label: dict[str, list[int]] = {}
+    for i, sample in enumerate(ordered):
         if sample.label is None:
             raise ValueError(f"training sample {sample.sample_id!r} has no class label")
-        by_label.setdefault(sample.label, []).append(sample)
-    all_counts = _counts_for(samples, counts)
-    vocab = build_vocabulary(merge_counts(all_counts.values()), retain_fraction)
+        by_label.setdefault(sample.label, []).append(i)
+    sample_counts = [count_bigrams(s) if counts is None else counts[s.sample_id] for s in ordered]
+    vocab = build_vocabulary(merge_counts(sample_counts), retain_fraction)
     eps_values = tuple(float(e) for e in eps_schedule)
     signatures: list[Signature] = []
     for label in sorted(by_label):
-        class_samples = by_label[label]
+        members = by_label[label]
+        # one class's count rows at a time: the whole corpus's would raise peak memory
+        rows = np.stack([retained_counts(sample_counts[i], vocab)[0] for i in members])
         if monolithic:
-            signatures.append(build_monolithic_signature(class_samples, vocab, all_counts))
+            signatures.append(_signature(rows, vocab, label, MONOLITHIC_TAG, 0))
         else:
-            signatures.extend(
-                build_class_signatures(class_samples, vocab, eps_values, min_pts, counts=all_counts)
-            )
+            signatures += _class_signatures(rows, vocab, label, eps_values, min_pts)
     metadata: dict[str, object] = {
         "retain_fraction": float(retain_fraction),
         "eps_schedule": [float(e) for e in eps_values],
@@ -324,7 +283,8 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
         raise DatabaseFormatError(
             f"cell index keys must be single integers in [0, {size}), got {exc.args[0]!r}"
         ) from None
-    values = np.array(list(chain.from_iterable(map(dict.values, rows))), dtype=float)
+    weights = _all_typed(list(chain.from_iterable(map(dict.values, rows))), float, "weights")
+    values = np.array(weights, dtype=float)
     if not np.all((values > 0.0) & (values <= 1.0)):
         raise DatabaseFormatError("weights must lie in (0, 1]")
     flat = np.repeat(row_ids, cells_per_row) * size + cols
@@ -349,6 +309,14 @@ def _typed(value: object, types: tuple[type, ...], name: str):
         kinds = " or ".join(t.__name__ for t in types)
         raise DatabaseFormatError(f"{name} must be {kinds}, got {value!r}")
     return value
+
+
+def _all_typed(values: list, kind: type, name: str) -> list:
+    """``values`` if each one's type is exactly ``kind``; one set of types is cheap to check."""
+    if set(map(type, values)) - {kind}:
+        bad = next(value for value in values if type(value) is not kind)
+        raise DatabaseFormatError(f"{name} must be {kind.__name__}, got {bad!r}")
+    return values
 
 
 def load_database(path: str | Path) -> SignatureDatabase:
@@ -381,8 +349,8 @@ def load_database(path: str | Path) -> SignatureDatabase:
         if len(set(opcodes)) != len(opcodes):
             raise DatabaseFormatError("duplicate opcodes in the vocabulary")
         pairs = vocab_doc["retained_bigrams"]
+        indices = _all_typed(list(chain.from_iterable(pairs)), int, "bigram indices")
         retained = frozenset((opcodes[i], opcodes[j]) for i, j in pairs)
-        indices = list(chain.from_iterable(pairs))
         if indices and (min(indices) < 0 or max(indices) >= len(opcodes)):
             raise DatabaseFormatError(f"bigram index outside [0, {len(opcodes)})")
         if len(retained) != len(pairs):

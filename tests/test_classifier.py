@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from opsig.classifier import classify, classify_batch, classify_binary
-from opsig.errors import EmptyDatabaseError, OpsigError, VocabularyMismatchError
-from opsig.opgraph import build_graph, count_bigrams, graph_distance
+from opsig.errors import (
+    EmptyDatabaseError,
+    EmptyGraphError,
+    OpsigError,
+    VocabularyMismatchError,
+)
+from opsig.opgraph import OpcodeGraph, build_graph, count_bigrams, graph_distance
 from opsig.signatures import Signature, SignatureDatabase, build_database
 from opsig.synthcorpus import default_alphabet, make_family_model, sample_sequence
 
@@ -124,6 +129,35 @@ class TestClassify:
             pred = classify(graph, db, f"s{i}")
             assert pred.predicted_label == f"f{i}"
             assert pred.best_distance == 0.0
+
+
+class TestEmptyGraph:
+    """A graph with no weight on any retained bigram has no nearest signature."""
+
+    def _setup(self):
+        rng = np.random.default_rng(14)
+        vocab = make_vocab(5)
+        db = db_from_graphs(
+            [("benign/r1/0", "benign", random_graph(vocab, rng, zero_row_prob=0.6)),
+             ("famA/r1/0", "famA", random_graph(vocab, rng))],
+            vocab,
+        )
+        empty = OpcodeGraph.from_vector(vocab, np.zeros(len(vocab.flat_cells)))
+        return db, empty, random_graph(vocab, rng)
+
+    def test_classify_rejects_all_zero_graph(self):
+        db, empty, _ = self._setup()
+        with pytest.raises(EmptyGraphError, match=r"sample 'x' has no retained bigram"):
+            classify(empty, db, "x")
+        with pytest.raises(EmptyGraphError):
+            classify_binary(empty, db, "x")
+
+    def test_batch_returns_error_in_slot(self):
+        db, empty, graph = self._setup()
+        results = classify_batch([("a", graph), ("x", empty), ("b", graph)], db)
+        assert isinstance(results[1], EmptyGraphError)
+        assert results[0] == classify(graph, db, "a")
+        assert results[2] == classify(graph, db, "b")
 
 
 class TestClassifyBinary:

@@ -96,6 +96,27 @@ class TestDomainErrors:
         assert "Traceback" not in err
 
 
+    def test_classify_sample_without_retained_bigram_exits_1(self, tiny_corpus, tmp_path, capsys):
+        db_path = tmp_path / "tiny.sigdb.json"
+        assert dispatch(["train", "--corpus", str(tiny_corpus), "--db", str(db_path)]) == 0
+        capsys.readouterr()
+        sample = tmp_path / "unknown.ops"
+        sample.write_text("ZZZ\nQQQ\nZZZ\n")
+        assert dispatch(["classify", "--db", str(db_path), "--input", str(sample)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: sample 'unknown' has no retained bigram" in captured.err
+
+    def test_investigate_one_class_corpus_exits_1(self, tmp_path, capsys):
+        (tmp_path / "corpus" / "famA").mkdir(parents=True)
+        for i in range(3):
+            (tmp_path / "corpus" / "famA" / f"s{i}.ops").write_text("mov\npush\npop\n")
+        assert dispatch(["investigate", "--corpus", str(tmp_path / "corpus")]) == 1
+        err = capsys.readouterr().err
+        assert "error: similarity table needs at least two classes" in err
+        assert "Traceback" not in err
+
+
 class TestPipeline:
     def test_train_then_classify(self, tiny_corpus, tmp_path, capsys):
         db_path = tmp_path / "tiny.sigdb.json"

@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from opsig.errors import FoldPlanError, OpsigError
+from opsig.errors import FoldPlanError, OpsigError, SimilarityTableError
 from opsig.evaluation import (
     ConfusionMatrix,
     EvalConfig,
@@ -15,7 +18,12 @@ from opsig.evaluation import (
 )
 from opsig.ingest import OpcodeSequence
 from opsig.signatures import build_database
-from opsig.synthcorpus import default_alphabet, make_family_model, sample_sequence
+from opsig.synthcorpus import (
+    default_alphabet,
+    generate_corpus,
+    make_family_model,
+    sample_sequence,
+)
 
 
 def constant_corpus():
@@ -154,6 +162,15 @@ class TestRunCrossval:
         assert a.metrics.to_csv() == b.metrics.to_csv()
         assert render_summary(a) == render_summary(b)
 
+    def test_sample_without_retained_bigram_left_out(self):
+        # famA-odd shares no bigram with any other sample, so in its own test fold
+        # none of its bigrams is retained and its graph is all zero
+        corpus = constant_corpus() + [OpcodeSequence("famA-odd", ("ZZZ", "QQQ") * 6, "famA")]
+        result = run_crossval(corpus, k=5, seed=7, config=EvalConfig(retain_fraction=1.0))
+        assert result.diagnostics["empty_test_graphs"] == 1
+        assert np.array_equal(result.multiclass.counts, np.diag([10, 10, 10]))
+        assert "empty_test_graphs=1" in render_summary(result)
+
     def test_fold_failure_names_fold(self):
         corpus = constant_corpus()
         # retain fraction so aggressive that some fold's vocabulary drops a class
@@ -184,7 +201,7 @@ class TestFamilySimilarityTable:
 
     def test_requires_two_classes(self):
         corpus = [OpcodeSequence("x", ("MOV", "PUSH"), "famA")]
-        with pytest.raises(ValueError, match=r"at least two classes"):
+        with pytest.raises(SimilarityTableError, match=r"at least two classes"):
             family_similarity_table(build_database(corpus, 1.0, monolithic=True))
 
     def test_requires_one_signature_per_class(self):
@@ -201,7 +218,7 @@ class TestFamilySimilarityTable:
         ]
         db = build_database(corpus, 1.0)
         assert len(db.by_class()["famA"]) == 2
-        with pytest.raises(ValueError, match=r"one signature per class"):
+        with pytest.raises(SimilarityTableError, match=r"one signature per class"):
             family_similarity_table(db)
 
 
@@ -220,6 +237,34 @@ class TestBaselineComparison:
         comparison = baseline_comparison(corpus, k=4, seed=2)
         assert comparison.clustered.multiclass.total == comparison.monolithic.multiclass.total
         assert comparison.clustered.seed == comparison.monolithic.seed == 2
+
+
+@pytest.fixture(scope="module")
+def default_comparison():
+    return baseline_comparison(generate_corpus()[0], k=5, seed=7)
+
+
+class TestDefaultCorpusPinned:
+    """Seed-7 cross-validation of the default corpus, clustered and monolithic."""
+
+    def test_results_pinned(self, default_comparison):
+        # the clustered lane is run_crossval's default configuration
+        lanes = {}
+        for lane in ("clustered", "monolithic"):
+            result = getattr(default_comparison, lane)
+            lanes[lane] = {
+                "labels": list(result.multiclass.labels),
+                "multiclass": result.multiclass.counts.tolist(),
+                "signatures_per_fold": result.diagnostics["signatures_per_fold"],
+                "dropped_test_bigrams": result.diagnostics["dropped_test_bigrams"],
+            }
+        digest = hashlib.sha256(json.dumps(lanes, sort_keys=True).encode()).hexdigest()
+        assert digest == "d8f960bb31885828cba4690089aca6f1f3f945a009d5c5e36c3f8525b4fc4b66"
+
+    def test_no_empty_test_graphs(self, default_comparison):
+        for result in (default_comparison.clustered, default_comparison.monolithic):
+            assert result.diagnostics["empty_test_graphs"] == 0
+            assert result.multiclass.total == 920
 
 
 class TestReportWriting:

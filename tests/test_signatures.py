@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsig.errors import (
     ChecksumMismatchError,
@@ -12,16 +13,8 @@ from opsig.errors import (
     UnsupportedVersionError,
 )
 from opsig.ingest import OpcodeSequence
-from opsig.opgraph import build_graph, build_vocabulary, count_bigrams, merge_counts
-from opsig.signatures import (
-    SignatureDatabase,
-    build_class_signatures,
-    build_database,
-    build_monolithic_signature,
-    build_signature,
-    load_database,
-    save_database,
-)
+from opsig.opgraph import build_graph, count_bigrams, merge_counts
+from opsig.signatures import SignatureDatabase, build_database, load_database, save_database
 from opsig.synthcorpus import (
     default_alphabet,
     generate_corpus,
@@ -53,19 +46,27 @@ def validity_corpus():
     return corpus
 
 
+def merged_graph(samples, vocab):
+    """The reference signature: one graph from the members' merged counts."""
+    return build_graph(merge_counts(count_bigrams(s) for s in samples), vocab)[0]
+
+
 class TestBuildSignature:
-    def test_singleton_equals_member_graph(self, seq1, table1_vocab):
-        counts = count_bigrams(seq1)
-        member_graph, _ = build_graph(counts, table1_vocab)
-        sig = build_signature([counts], table1_vocab, "famA", "singleton", 0)
+    """A signature is the graph of its members' merged counts (one-class corpora)."""
+
+    def test_singleton_equals_member_graph(self, seq1):
+        db = build_database([seq1], retain_fraction=1.0)
+        (sig,) = db.signatures
+        member_graph, _ = build_graph(count_bigrams(seq1), db.vocabulary)
         np.testing.assert_array_equal(sig.graph.weights, member_graph.weights)
         assert sig.member_count == 1
         assert sig.signature_id == "famA/singleton/0"
 
     def test_merged_push_row(self, seq1, seq2, table1_vocab):
-        sig = build_signature(
-            [count_bigrams(seq1), count_bigrams(seq2)], table1_vocab, "fam"
-        )
+        samples = [OpcodeSequence(s.sample_id, s.opcodes, "fam") for s in (seq1, seq2)]
+        db = build_database(samples, retain_fraction=1.0, monolithic=True)
+        assert db.vocabulary == table1_vocab
+        (sig,) = db.signatures
         idx = table1_vocab.index
         row = sig.graph.weights[idx["PUSH"]]
         # hand merge: PUSH outgoing {POP:1, PUSH:1, CALL:1} + {PUSH:1, POP:1, MOV:1}
@@ -74,28 +75,24 @@ class TestBuildSignature:
         assert row[idx["CALL"]] == 1 / 6
         assert row[idx["MOV"]] == 1 / 6
 
-    def test_identical_members_normalize_to_member_graph(self, seq1, table1_vocab):
-        counts = count_bigrams(seq1)
-        member_graph, _ = build_graph(counts, table1_vocab)
+    def test_identical_members_normalize_to_member_graph(self, seq1):
         for copies in (2, 5):
-            sig = build_signature([counts] * copies, table1_vocab, "fam")
-            np.testing.assert_array_equal(sig.graph.weights, member_graph.weights)
-
-    def test_empty_member_list_rejected(self, table1_vocab):
-        with pytest.raises(ValueError):
-            build_signature([], table1_vocab, "fam")
+            samples = [OpcodeSequence(f"c{i}", seq1.opcodes, "fam") for i in range(copies)]
+            db = build_database(samples, retain_fraction=1.0, monolithic=True)
+            member_graph, _ = build_graph(count_bigrams(seq1), db.vocabulary)
+            np.testing.assert_array_equal(db.signatures[0].graph.weights, member_graph.weights)
 
 
 class TestBuildClassSignatures:
-    def test_single_sample_yields_singleton(self, table1_vocab, seq1):
-        sigs = build_class_signatures([seq1], table1_vocab)
+    def test_single_sample_yields_singleton(self, seq1):
+        sigs = build_database([seq1], retain_fraction=1.0).signatures
         assert len(sigs) == 1
         assert sigs[0].round_tag == "singleton"
         assert sigs[0].member_count == 1
 
-    def test_identical_samples_yield_one_cluster_signature(self, table1_vocab):
+    def test_identical_samples_yield_one_cluster_signature(self):
         samples = [OpcodeSequence(f"s{i}", ("MOV", "POP", "CALL") * 5, "fam") for i in range(5)]
-        sigs = build_class_signatures(samples, table1_vocab)
+        sigs = build_database(samples, retain_fraction=1.0).signatures
         assert len(sigs) == 1
         assert sigs[0].round_tag == "r1"
         assert sigs[0].member_count == 5
@@ -110,40 +107,59 @@ class TestBuildClassSignatures:
                 sid = f"fam-{j}-{k}"
                 samples.append(sample_sequence(model, 1000, [200, j, k], sample_id=sid))
                 truth[sid] = j
-        counts = {s.sample_id: count_bigrams(s) for s in samples}
-        vocab = build_vocabulary(merge_counts(counts.values()), 1.0)
-        sigs = build_class_signatures(samples, vocab, (0.01, 0.1), 3, counts=counts)
+        db = build_database(samples, 1.0, (0.01, 0.1), 3)
+        sigs = db.signatures
         assert len(sigs) == 3
         assert sorted(s.member_count for s in sigs) == [6, 6, 6]
         # each signature graph must equal the merge of exactly one planted source
         for j in range(3):
-            member_counts = [counts[sid] for sid, src in truth.items() if src == j]
-            expected = build_signature(member_counts, vocab, "fam").graph.weights
+            members = [s for s in samples if truth[s.sample_id] == j]
+            expected = merged_graph(members, db.vocabulary).weights
             assert any(np.array_equal(sig.graph.weights, expected) for sig in sigs)
-
-    def test_mixed_labels_rejected(self, table1_vocab, seq1, seq2):
-        with pytest.raises(ValueError):
-            build_class_signatures([seq1, seq2], table1_vocab)
 
 
 class TestMonolithicSignature:
-    def test_equals_signature_over_all_members(self, table1_vocab):
+    def test_equals_signature_over_all_members(self):
         samples = [
             OpcodeSequence("x1", ("MOV", "POP", "MOV", "CALL"), "fam"),
             OpcodeSequence("x2", ("CALL", "PUSH", "CALL"), "fam"),
         ]
-        mono = build_monolithic_signature(samples, table1_vocab)
-        direct = build_signature(
-            [count_bigrams(s) for s in samples], table1_vocab, "fam"
-        )
-        np.testing.assert_array_equal(mono.graph.weights, direct.graph.weights)
+        db = build_database(samples, retain_fraction=1.0, monolithic=True)
+        (mono,) = db.signatures
+        direct = merged_graph(samples, db.vocabulary)
+        np.testing.assert_array_equal(mono.graph.weights, direct.weights)
         assert mono.round_tag == "monolithic"
         assert mono.member_count == 2
 
-    def test_single_sample_class(self, table1_vocab, seq1):
-        mono = build_monolithic_signature([seq1], table1_vocab)
-        member_graph, _ = build_graph(count_bigrams(seq1), table1_vocab)
-        np.testing.assert_array_equal(mono.graph.weights, member_graph.weights)
+    def test_single_sample_class(self, seq1):
+        db = build_database([seq1], retain_fraction=1.0, monolithic=True)
+        member_graph, _ = build_graph(count_bigrams(seq1), db.vocabulary)
+        np.testing.assert_array_equal(db.signatures[0].graph.weights, member_graph.weights)
+
+
+def labelled_corpora():
+    """Up to three classes of short random sequences over six opcodes."""
+    opcodes = st.sampled_from(("MOV", "PUSH", "POP", "CALL", "RET", "JMP"))
+    sequences = st.lists(opcodes, min_size=2, max_size=30).map(tuple)
+    classes = st.lists(st.lists(sequences, min_size=1, max_size=5), min_size=1, max_size=3)
+    return classes.map(
+        lambda groups: [
+            OpcodeSequence(f"c{c}-{i}", ops, f"c{c}")
+            for c, group in enumerate(groups)
+            for i, ops in enumerate(group)
+        ]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_corpora(), st.sampled_from((0.5, 0.9, 1.0)))
+def test_monolithic_signature_is_graph_of_merged_counts(corpus, retain):
+    db = build_database(corpus, retain_fraction=retain, monolithic=True)
+    for sig in db.signatures:
+        members = [s for s in corpus if s.label == sig.class_label]
+        expected = merged_graph(members, db.vocabulary)
+        assert sig.member_count == len(members)
+        assert sig.graph.vector.tobytes() == expected.vector.tobytes()
 
 
 class TestBuildDatabase:
@@ -242,11 +258,11 @@ class TestSaveLoad:
 
 
 class TestDatabaseValidation:
-    def test_duplicate_ids_rejected(self, table1_vocab, seq1):
-        counts = count_bigrams(seq1)
-        sig = build_signature([counts], table1_vocab, "fam", "r1", 0)
+    def test_duplicate_ids_rejected(self, seq1):
+        db = build_database([seq1], retain_fraction=1.0)
+        (sig,) = db.signatures
         with pytest.raises(ValueError):
-            SignatureDatabase(table1_vocab, (sig, sig), {})
+            SignatureDatabase(db.vocabulary, (sig, sig), {})
 
 
 def _resign(path, doc, sort_keys=True):
@@ -425,6 +441,26 @@ class TestLoadValidity:
         target[key] = bad
         _resign(path, doc)
         with pytest.raises(DatabaseFormatError, match=rf"{name} must be"):
+            load_database(path)
+
+    def test_string_weight_rejected(self, saved):
+        path, doc, _ = saved
+        rows, row_key, col_key = self._first_cell(doc)
+        rows[row_key][col_key] = repr(rows[row_key][col_key])  # parses back to the same float
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"weights must be float, got '"):
+            load_database(path)
+
+    def test_boolean_bigram_index_rejected(self, saved):
+        path, doc, _ = saved
+        pairs = doc["vocabulary"]["retained_bigrams"]
+        # True and False index opcodes 1 and 0, so the vocabulary itself is unchanged
+        row, pos = next(
+            (row, pos) for row, pair in enumerate(pairs) for pos, i in enumerate(pair) if i in (0, 1)
+        )
+        pairs[row][pos] = bool(pairs[row][pos])
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"bigram indices must be int, got (True|False)"):
             load_database(path)
 
     def test_duplicate_retained_bigram_rejected(self, saved):

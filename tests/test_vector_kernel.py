@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opsig.classifier import classify, classify_batch
-from opsig.errors import OpsigError
+from opsig.errors import EmptyGraphError
 from opsig.opgraph import BigramCounts, OpcodeGraph, OpcodeVocabulary, build_graph, graph_distance
 from opsig.signatures import Signature, SignatureDatabase, load_database, save_database
 
@@ -132,8 +132,13 @@ def test_classify_batch_equals_single_classify(data):
     # the same signature graphs re-used as samples give exact ties to break
     items = [(f"s{i}", g) for i, g in enumerate(sample_graphs + sig_graphs)]
     batch = classify_batch(items, db)
-    assert batch == [classify(graph, db, sample_id) for sample_id, graph in items]
-    assert not any(isinstance(result, OpsigError) for result in batch)
+    for (sample_id, graph), result in zip(items, batch):
+        if graph.vector.any():
+            assert result == classify(graph, db, sample_id)
+        else:  # no retained bigram: the slot holds the error that classify raises
+            assert isinstance(result, EmptyGraphError)
+            with pytest.raises(EmptyGraphError):
+                classify(graph, db, sample_id)
 
 
 @PROPERTY

@@ -127,7 +127,8 @@ class SignatureDatabase:
         )
 
 
-def _signature(
+# build_database's two helpers, not exported; bench/spans.py times them under these names.
+def build_signature(
     rows: np.ndarray, vocab: OpcodeVocabulary, label: str, round_tag: str, ordinal: int
 ) -> Signature:
     """The signature of a group whose members' retained counts are ``rows``."""
@@ -135,7 +136,7 @@ def _signature(
     return Signature(f"{label}/{round_tag}/{ordinal}", label, graph, len(rows), round_tag)
 
 
-def _class_signatures(
+def build_class_signatures(
     rows: np.ndarray,
     vocab: OpcodeVocabulary,
     label: str,
@@ -155,7 +156,7 @@ def _class_signatures(
     for group in multi_round_cluster(matrix, eps_schedule, min_pts, family=label).groups:
         ordinal = ordinals[group.round_tag] = ordinals.get(group.round_tag, -1) + 1
         members = [int(i) for i in group.member_ids]
-        signatures.append(_signature(rows[members], vocab, label, group.round_tag, ordinal))
+        signatures.append(build_signature(rows[members], vocab, label, group.round_tag, ordinal))
     return signatures
 
 
@@ -193,9 +194,9 @@ def build_database(
         # one class's count rows at a time: the whole corpus's would raise peak memory
         rows = np.stack([retained_counts(sample_counts[i], vocab)[0] for i in members])
         if monolithic:
-            signatures.append(_signature(rows, vocab, label, MONOLITHIC_TAG, 0))
+            signatures.append(build_signature(rows, vocab, label, MONOLITHIC_TAG, 0))
         else:
-            signatures += _class_signatures(rows, vocab, label, eps_values, min_pts)
+            signatures += build_class_signatures(rows, vocab, label, eps_values, min_pts)
     metadata: dict[str, object] = {
         "retain_fraction": float(retain_fraction),
         "eps_schedule": [float(e) for e in eps_values],
@@ -312,10 +313,10 @@ def _typed(value: object, types: tuple[type, ...], name: str):
 
 
 def _all_typed(values: list, kind: type, name: str) -> list:
-    """``values`` if each one's type is exactly ``kind``; one set of types is cheap to check."""
+    """``values`` if each one is ``_typed`` as ``kind``; one set of their types is checked first."""
     if set(map(type, values)) - {kind}:
-        bad = next(value for value in values if type(value) is not kind)
-        raise DatabaseFormatError(f"{name} must be {kind.__name__}, got {bad!r}")
+        for value in values:
+            _typed(value, (kind,), name)
     return values
 
 

@@ -14,7 +14,13 @@ from opsig.errors import (
 )
 from opsig.ingest import OpcodeSequence
 from opsig.opgraph import build_graph, count_bigrams, merge_counts
-from opsig.signatures import SignatureDatabase, build_database, load_database, save_database
+from opsig.signatures import (
+    SignatureDatabase,
+    build_database,
+    build_signature,
+    load_database,
+    save_database,
+)
 from opsig.synthcorpus import (
     default_alphabet,
     generate_corpus,
@@ -81,6 +87,11 @@ class TestBuildSignature:
             db = build_database(samples, retain_fraction=1.0, monolithic=True)
             member_graph, _ = build_graph(count_bigrams(seq1), db.vocabulary)
             np.testing.assert_array_equal(db.signatures[0].graph.weights, member_graph.weights)
+
+    def test_empty_member_list_rejected(self, table1_vocab):
+        rows = np.zeros((0, len(table1_vocab.flat_cells)))
+        with pytest.raises(ValueError):
+            build_signature(rows, table1_vocab, "fam", "singleton", 0)
 
 
 class TestBuildClassSignatures:

@@ -35,14 +35,7 @@ from .evaluation import (
     write_crossval_reports,
 )
 from .ingest import load_corpus, parse_sample_file
-from .opgraph import (
-    DEFAULT_RETAIN_FRACTION,
-    build_graph,
-    build_vocabulary,
-    count_bigrams,
-    graph_for_sequence,
-    merge_counts,
-)
+from .opgraph import DEFAULT_RETAIN_FRACTION, code_corpus, graph_for_sequence, normalized_graph
 from .signatures import DEFAULT_SEED, build_database, load_database, save_database
 from .synthcorpus import DEFAULT_CONFIG, generate_corpus, write_corpus
 
@@ -249,19 +242,19 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
 
 def _cmd_cluster_report(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    counts = {s.sample_id: count_bigrams(s) for s in corpus}
-    vocab = build_vocabulary(merge_counts(counts.values()), args.retain)
-    by_label: dict[str, list] = {}
-    for sample in corpus:
-        by_label.setdefault(sample.label, []).append(sample)
+    coded = code_corpus(corpus)
+    vocab, slots = coded.vocabulary(range(len(corpus)), args.retain)
+    by_label: dict[str, list[int]] = {}
+    for i, sample in enumerate(corpus):
+        by_label.setdefault(sample.label, []).append(i)
     matrices = {}
-    for label, class_samples in by_label.items():
-        graphs = [
-            (s.sample_id, build_graph(counts[s.sample_id], vocab)[0]) for s in class_samples
-        ]
+    for label, members in by_label.items():
+        rows = coded.count_rows(members, slots)[0]
+        ids = [corpus[i].sample_id for i in members]
+        graphs = [(sample_id, normalized_graph(row, vocab)) for sample_id, row in zip(ids, rows)]
         matrices[label] = compute_distance_matrix(graphs)
-    rows = eps_setting_comparison(matrices, args.eps, args.min_pts)
-    print(format_cluster_report(rows), end="")
+    report = eps_setting_comparison(matrices, args.eps, args.min_pts)
+    print(format_cluster_report(report), end="")
     return 0
 
 

@@ -25,8 +25,8 @@ from .errors import (
     SimilarityTableError,
 )
 from .ingest import BENIGN_LABEL, OpcodeSequence
-from .opgraph import DEFAULT_RETAIN_FRACTION, build_graph, count_bigrams
-from .signatures import DEFAULT_SEED, SignatureDatabase, build_database
+from .opgraph import DEFAULT_RETAIN_FRACTION, code_corpus, normalized_graph
+from .signatures import DEFAULT_SEED, SignatureDatabase, train_database
 
 DEFAULT_K = 5
 
@@ -192,7 +192,9 @@ def run_crossval(
     """
     config = config or EvalConfig()
     plan = stratified_kfold(corpus, k, seed)
-    counts_by_id = {sample.sample_id: count_bigrams(sample) for sample in corpus}
+    coded = code_corpus(corpus)
+    folds = [plan.fold_of(sample) for sample in corpus]
+    by_id = sorted(range(len(corpus)), key=lambda i: corpus[i].sample_id)
     labels = tuple(sorted({sample.label for sample in corpus}))
     position = {label: i for i, label in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
@@ -200,30 +202,29 @@ def run_crossval(
     signatures_per_fold: list[int] = []
     for fold in range(k):
         try:
-            train = [s for s in corpus if plan.fold_of(s) != fold]
-            test = [s for s in corpus if plan.fold_of(s) == fold]
-            db = build_database(
-                train,
-                retain_fraction=config.retain_fraction,
-                eps_schedule=config.eps_schedule,
-                min_pts=config.min_pts,
-                seed=seed,
-                counts=counts_by_id,
-                monolithic=config.monolithic,
+            train = [i for i in by_id if folds[i] != fold]
+            test = [i for i in range(len(corpus)) if folds[i] == fold]
+            by_label: dict[str, list[int]] = {}
+            for i in train:
+                by_label.setdefault(corpus[i].label, []).append(i)
+            vocab, slots = coded.vocabulary(train, config.retain_fraction)
+            db = train_database(
+                coded, by_label, vocab, slots, config.eps_schedule, config.min_pts, seed,
+                config.monolithic,
             )
-            batch = []
-            for sample in test:
-                graph, dropped = build_graph(counts_by_id[sample.sample_id], db.vocabulary)
-                dropped_test += dropped
-                batch.append((sample.sample_id, graph))
+            rows, dropped = coded.count_rows(test, slots)
+            dropped_test += int(dropped.sum())
+            batch = [
+                (corpus[i].sample_id, normalized_graph(row, vocab)) for i, row in zip(test, rows)
+            ]
             predictions = classify_batch(batch, db)
-            for sample, prediction in zip(test, predictions):
+            for i, prediction in zip(test, predictions):
                 if isinstance(prediction, EmptyGraphError):
                     empty_test += 1
                     continue
                 if isinstance(prediction, OpsigError):
                     raise prediction
-                counts[position[sample.label], position[prediction.predicted_label]] += 1
+                counts[position[corpus[i].label], position[prediction.predicted_label]] += 1
             signatures_per_fold.append(len(db.signatures))
         except OpsigError as err:
             raise OpsigError(f"fold {fold} failed: {err}") from err

@@ -9,6 +9,10 @@ absolute difference of their weights, scaled by 1 / (2V) so that scores live
 on [0, 1]: each row is a point on the probability simplex (or all zero), so
 one row pair contributes at most 2. Clustering, classification and the
 similarity table all score graphs with the one kernel, ``scaled_l1``.
+
+``count_bigrams`` counts one sample, as classification does; training codes
+a whole corpus once with ``code_corpus`` and takes its vocabularies and count
+rows from that coding.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,11 +47,17 @@ class BigramCounts:
             raise ValueError("bigram counts must be >= 1")
 
 
-def count_bigrams(seq: OpcodeSequence) -> BigramCounts:
-    """Count adjacent opcode pairs; a sequence of length L has L - 1 of them."""
+def _opcodes(seq: OpcodeSequence) -> tuple[str, ...]:
+    """``seq.opcodes``, which must not be empty."""
     if not seq.opcodes:
         raise EmptySampleError(f"sample {seq.sample_id!r} has no opcodes")
-    pairs = Counter(zip(seq.opcodes, seq.opcodes[1:]))
+    return seq.opcodes
+
+
+def count_bigrams(seq: OpcodeSequence) -> BigramCounts:
+    """Count adjacent opcode pairs; a sequence of length L has L - 1 of them."""
+    opcodes = _opcodes(seq)
+    pairs = Counter(zip(opcodes, opcodes[1:]))
     return BigramCounts(dict(pairs), sum(pairs.values()))
 
 
@@ -117,27 +127,118 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _rank_and_cut(
+    bigrams: Sequence[Bigram], counts: np.ndarray, retain_fraction: float
+) -> tuple[OpcodeVocabulary, np.ndarray]:
+    """The vocabulary of the top bigrams covering ``retain_fraction`` of all occurrences.
+
+    ``bigrams`` are in lexicographic order and ``counts`` holds their integer
+    counts, zero allowed. Bigrams rank by count descending, ties in bigram
+    order, and the shortest ranked prefix reaching the threshold is retained.
+    Also returns the retained positions in ``bigrams``, ascending.
+    """
+    if not 0.0 < retain_fraction <= 1.0:
+        raise ValueError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+    total = int(counts.sum())
+    if total <= 0:
+        raise EmptyCorpusError("cannot build a vocabulary from zero bigrams")
+    ranked = np.argsort(-counts, kind="stable")
+    target = retain_fraction * total
+    # Guard against float spill, e.g. 0.9 * 10 -> 9.000000000000002.
+    threshold = math.ceil(target - 1e-9 * max(1.0, target))
+    cut = int(np.searchsorted(np.cumsum(counts[ranked]), threshold)) + 1
+    kept = np.sort(ranked[:cut])
+    retained = [bigrams[i] for i in kept.tolist()]
+    opcodes = sorted({op for pair in retained for op in pair})
+    return OpcodeVocabulary(tuple(opcodes), frozenset(retained), retain_fraction), kept
+
+
 def build_vocabulary(
     corpus_counts: BigramCounts, retain_fraction: float = DEFAULT_RETAIN_FRACTION
 ) -> OpcodeVocabulary:
     """Keep the top bigrams covering ``retain_fraction`` of all occurrences."""
-    if not 0.0 < retain_fraction <= 1.0:
-        raise ValueError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
-    if corpus_counts.total <= 0:
-        raise EmptyCorpusError("cannot build a vocabulary from zero bigrams")
-    ranked = sorted(corpus_counts.counts.items(), key=lambda item: (-item[1], item[0]))
-    target = retain_fraction * corpus_counts.total
-    # Guard against float spill, e.g. 0.9 * 10 -> 9.000000000000002.
-    threshold = math.ceil(target - 1e-9 * max(1.0, target))
-    retained = []
-    cumulative = 0
-    for bigram, count in ranked:
-        retained.append(bigram)
-        cumulative += count
-        if cumulative >= threshold:
-            break
-    opcodes = sorted({op for pair in retained for op in pair})
-    return OpcodeVocabulary(tuple(opcodes), frozenset(retained), retain_fraction)
+    bigrams = sorted(corpus_counts.counts)
+    counts = np.fromiter(map(corpus_counts.counts.__getitem__, bigrams), np.int64, len(bigrams))
+    return _rank_and_cut(bigrams, counts, retain_fraction)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class CodedCorpus:
+    """Every sample's bigram counts, coded once as integers.
+
+    ``bigrams`` lists the corpus's distinct bigrams in lexicographic order.
+    Sample ``i`` has ``counts[j]`` occurrences of bigram ``bigrams[pairs[j]]``
+    for each ``j`` in ``range(offsets[i], offsets[i + 1])``.
+    """
+
+    bigrams: list[Bigram]
+    pairs: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+
+    def _entries(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Each entry of the samples at ``positions``, with the index of its sample there."""
+        positions = np.asarray(positions, dtype=np.intp)
+        lengths = np.diff(self.offsets)[positions]
+        owners = np.repeat(np.arange(len(positions)), lengths)
+        # gathered entry k lies k - (entries gathered before its sample) past that sample's start
+        shifts = self.offsets[positions] - (np.cumsum(lengths) - lengths)
+        return np.arange(len(owners)) + shifts[owners], owners
+
+    def vocabulary(
+        self, positions: Sequence[int], retain_fraction: float
+    ) -> tuple[OpcodeVocabulary, np.ndarray]:
+        """The vocabulary of the samples at ``positions``, as ``build_vocabulary`` filters it.
+
+        Also returns each distinct bigram's slot in it, -1 where not retained.
+        """
+        entries, _ = self._entries(positions)
+        totals = np.bincount(
+            self.pairs[entries], weights=self.counts[entries], minlength=len(self.bigrams)
+        )
+        vocab, kept = _rank_and_cut(self.bigrams, totals.astype(np.int64), retain_fraction)
+        slots = np.full(len(self.bigrams), -1, dtype=np.intp)
+        slots[kept] = np.arange(len(kept))
+        return vocab, slots
+
+    def count_rows(
+        self, positions: Sequence[int], slots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``retained_counts`` of the samples at ``positions``, one row each.
+
+        ``slots`` is a slot map from ``vocabulary``. Also returns each sample's
+        occurrences of bigrams that the vocabulary does not retain.
+        """
+        entries, owners = self._entries(positions)
+        entry_slots, counts = slots[self.pairs[entries]], self.counts[entries]
+        kept = entry_slots >= 0
+        size = int(slots.max()) + 1
+        rows = np.bincount(
+            owners[kept] * size + entry_slots[kept],
+            weights=counts[kept],
+            minlength=len(positions) * size,
+        )
+        dropped = np.bincount(owners[~kept], weights=counts[~kept], minlength=len(positions))
+        return rows.reshape(len(positions), size), dropped.astype(np.int64)
+
+
+def code_corpus(samples: Sequence[OpcodeSequence]) -> CodedCorpus:
+    """Code every sample's opcodes against one sorted table and count its bigrams."""
+    table = sorted(set().union(*map(_opcodes, samples)))
+    code, width = {op: i for i, op in enumerate(table)}.__getitem__, len(table)
+    sample_pairs, sample_counts = [], []
+    for sample in samples:
+        codes = np.fromiter(map(code, sample.opcodes), np.int64, len(sample.opcodes))
+        pairs, counts = np.unique(codes[:-1] * width + codes[1:], return_counts=True)
+        sample_pairs.append(pairs)
+        sample_counts.append(counts)
+    # a pair's id is first * A + second over the sorted table, so id order is lexicographic
+    pair_ids, pairs = np.unique(np.concatenate(sample_pairs), return_inverse=True)
+    firsts, seconds = np.divmod(pair_ids, width)
+    bigrams = [(table[a], table[b]) for a, b in zip(firsts.tolist(), seconds.tolist())]
+    offsets = np.zeros(len(samples) + 1, dtype=np.intp)
+    np.cumsum([len(p) for p in sample_pairs], out=offsets[1:])
+    return CodedCorpus(bigrams, pairs, np.concatenate(sample_counts), offsets)
 
 
 @dataclass(frozen=True, eq=False, init=False)

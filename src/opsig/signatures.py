@@ -1,8 +1,9 @@
 """Cluster-level opcode-graph signatures and the persisted signature database.
 
 A signature is the graph of one group of samples' merged bigram counts, as if
-they were a single sample: ``build_database``, the one way to make them, sums
-the members' retained-count rows and row-normalises the sum. The database
+they were a single sample: ``build_database``, the one way to make them (with
+``train_database``, its form for an already coded corpus), sums the members'
+retained-count rows and row-normalises the sum. The database
 bundles all per-class signatures with the shared vocabulary and is stored as
 a single versioned, checksummed JSON document with deterministic byte layout.
 """
@@ -36,14 +37,11 @@ from .errors import (
 from .ingest import OpcodeSequence
 from .opgraph import (
     DEFAULT_RETAIN_FRACTION,
-    BigramCounts,
+    CodedCorpus,
     OpcodeGraph,
     OpcodeVocabulary,
-    build_vocabulary,
-    count_bigrams,
-    merge_counts,
+    code_corpus,
     normalized_graph,
-    retained_counts,
 )
 
 FORMAT_VERSION = 1
@@ -166,7 +164,6 @@ def build_database(
     eps_schedule: Iterable[float] = DEFAULT_EPS_SCHEDULE,
     min_pts: int = DEFAULT_MIN_PTS,
     seed: int = DEFAULT_SEED,
-    counts: Mapping[str, BigramCounts] | None = None,
     monolithic: bool = False,
 ) -> SignatureDatabase:
     """Train a database: shared vocabulary, then per-class signatures.
@@ -185,20 +182,37 @@ def build_database(
         if sample.label is None:
             raise ValueError(f"training sample {sample.sample_id!r} has no class label")
         by_label.setdefault(sample.label, []).append(i)
-    sample_counts = [count_bigrams(s) if counts is None else counts[s.sample_id] for s in ordered]
-    vocab = build_vocabulary(merge_counts(sample_counts), retain_fraction)
+    coded = code_corpus(ordered)
+    vocab, slots = coded.vocabulary(range(len(ordered)), retain_fraction)
+    return train_database(coded, by_label, vocab, slots, eps_schedule, min_pts, seed, monolithic)
+
+
+def train_database(
+    coded: CodedCorpus,
+    by_label: Mapping[str, Sequence[int]],
+    vocab: OpcodeVocabulary,
+    slots: np.ndarray,
+    eps_schedule: Iterable[float],
+    min_pts: int,
+    seed: int,
+    monolithic: bool,
+) -> SignatureDatabase:
+    """``build_database`` over coded samples, with ``coded.vocabulary``'s vocabulary and slots.
+
+    ``by_label`` gives each class's samples as positions in ``coded``, in
+    ``sample_id`` order.
+    """
     eps_values = tuple(float(e) for e in eps_schedule)
     signatures: list[Signature] = []
     for label in sorted(by_label):
-        members = by_label[label]
         # one class's count rows at a time: the whole corpus's would raise peak memory
-        rows = np.stack([retained_counts(sample_counts[i], vocab)[0] for i in members])
+        rows = coded.count_rows(by_label[label], slots)[0]
         if monolithic:
             signatures.append(build_signature(rows, vocab, label, MONOLITHIC_TAG, 0))
         else:
             signatures += build_class_signatures(rows, vocab, label, eps_values, min_pts)
     metadata: dict[str, object] = {
-        "retain_fraction": float(retain_fraction),
+        "retain_fraction": float(vocab.retain_fraction),
         "eps_schedule": [float(e) for e in eps_values],
         "min_pts": int(min_pts),
         "seed": int(seed),

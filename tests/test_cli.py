@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -192,6 +193,12 @@ class TestPipeline:
         assert lines[0] == "eps_setting,family,samples,clusters,unclustered"
         settings = {line.split(",")[0] for line in lines[1:]}
         assert settings == {"0.01", "0.1", "proposed"}
+
+    def test_cluster_report_default_corpus_pinned(self, tmp_path, capsys):
+        assert dispatch(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
+        assert dispatch(["cluster-report", "--corpus", str(tmp_path)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "a07a27155aabcb3d02eb3a47c04cbfb18847268359b676a6d4534dc23abb8aa3"
 
 
 class TestThinAdapter:

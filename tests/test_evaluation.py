@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from opsig.errors import FoldPlanError, OpsigError, SimilarityTableError
+from opsig.errors import EmptySampleError, FoldPlanError, OpsigError, SimilarityTableError
 from opsig.evaluation import (
     ConfusionMatrix,
     EvalConfig,
@@ -170,6 +170,17 @@ class TestRunCrossval:
         assert result.diagnostics["empty_test_graphs"] == 1
         assert np.array_equal(result.multiclass.counts, np.diag([10, 10, 10]))
         assert "empty_test_graphs=1" in render_summary(result)
+
+    def test_sample_without_opcodes_rejected(self):
+        corpus = constant_corpus() + [OpcodeSequence("famA-empty", (), "famA")]
+        with pytest.raises(EmptySampleError, match="famA-empty"):
+            run_crossval(corpus, k=5, seed=7)
+
+    def test_corpus_without_bigrams_names_fold(self):
+        corpus = [OpcodeSequence(f"{label}-{i}", ("MOV",), label)
+                  for label in ("benign", "famA") for i in range(5)]
+        with pytest.raises(OpsigError, match="fold 0 failed: cannot build a vocabulary"):
+            run_crossval(corpus, k=5, seed=7)
 
     def test_fold_failure_names_fold(self):
         corpus = constant_corpus()

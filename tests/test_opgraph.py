@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opsig.errors import EmptyCorpusError, EmptySampleError, VocabularyMismatchError
 from opsig.ingest import OpcodeSequence
@@ -8,9 +11,11 @@ from opsig.opgraph import (
     OpcodeGraph,
     build_graph,
     build_vocabulary,
+    code_corpus,
     count_bigrams,
     graph_distance,
     merge_counts,
+    retained_counts,
 )
 
 from helpers import make_vocab, naive_graph_distance, random_graph
@@ -129,6 +134,60 @@ class TestBuildVocabulary:
     def test_empty_counts_rejected(self):
         with pytest.raises(EmptyCorpusError):
             build_vocabulary(BigramCounts({}, 0), 0.9)
+
+
+def loop_vocabulary(corpus_counts, retain_fraction):
+    """The reference rank-and-cut: sort by (-count, bigram), keep a prefix by a running sum."""
+    ranked = sorted(corpus_counts.counts.items(), key=lambda item: (-item[1], item[0]))
+    target = retain_fraction * corpus_counts.total
+    threshold = math.ceil(target - 1e-9 * max(1.0, target))
+    retained, cumulative = [], 0
+    for bigram, count in ranked:
+        retained.append(bigram)
+        cumulative += count
+        if cumulative >= threshold:
+            break
+    return tuple(sorted({op for pair in retained for op in pair})), frozenset(retained)
+
+
+def coded_corpora():
+    """Up to eight short samples over four opcodes, each drawn into the training set or not.
+
+    Four opcodes make count ties, repeated opcodes and single-opcode samples common.
+    """
+    opcodes = st.lists(st.sampled_from(("ADD", "JMP", "MOV", "POP")), min_size=1, max_size=12)
+    return st.lists(st.tuples(opcodes, st.booleans()), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coded_corpora(),
+    st.one_of(st.sampled_from((0.1, 0.5, 0.9, 0.95, 1.0)), st.floats(0.01, 1.0)),
+)
+def test_coded_counts_match_counter_reference(drawn, retain):
+    samples = [OpcodeSequence(f"s{i}", tuple(ops)) for i, (ops, _) in enumerate(drawn)]
+    train = [i for i, (_, in_train) in enumerate(drawn) if in_train] or [0]
+    merged = merge_counts(count_bigrams(samples[i]) for i in train)
+    coded = code_corpus(samples)
+    if merged.total == 0:
+        with pytest.raises(EmptyCorpusError):
+            build_vocabulary(merged, retain)
+        with pytest.raises(EmptyCorpusError):
+            coded.vocabulary(train, retain)
+        return
+    vocab, slots = coded.vocabulary(train, retain)
+    reference = build_vocabulary(merged, retain)
+    assert (vocab.opcodes, vocab.retained_bigrams) == loop_vocabulary(merged, retain)
+    assert (reference.opcodes, reference.retained_bigrams) == loop_vocabulary(merged, retain)
+    assert vocab == reference
+    # held-out samples first, then the training ones backwards: rows follow ``positions``
+    positions = [i for i in range(len(samples)) if i not in train] + train[::-1]
+    rows, dropped = coded.count_rows(positions, slots)
+    assert rows.shape == (len(samples), len(vocab.flat_cells))
+    for i, row, sample_dropped in zip(positions, rows, dropped):
+        expected, expected_dropped = retained_counts(count_bigrams(samples[i]), vocab)
+        assert row.tobytes() == expected.tobytes()
+        assert sample_dropped == expected_dropped
 
 
 class TestBuildGraph:

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from opsig.errors import (
     ChecksumMismatchError,
     DatabaseFormatError,
+    EmptyCorpusError,
+    EmptySampleError,
     UnsupportedVersionError,
 )
 from opsig.ingest import OpcodeSequence
@@ -189,6 +191,21 @@ class TestBuildDatabase:
         db = build_database(toy_corpus(), retain_fraction=1.0, monolithic=True)
         assert len(db.signatures) == 3
         assert all(s.round_tag == "monolithic" for s in db.signatures)
+
+    def test_sample_without_opcodes_rejected(self):
+        corpus = toy_corpus() + [OpcodeSequence("a-empty", (), "famA")]
+        with pytest.raises(EmptySampleError, match="a-empty"):
+            build_database(corpus)
+
+    def test_corpus_without_bigrams_rejected(self):
+        corpus = [OpcodeSequence(f"s{i}", (op,), "famA") for i, op in enumerate(("MOV", "POP"))]
+        with pytest.raises(EmptyCorpusError, match="zero bigrams"):
+            build_database(corpus)
+
+    def test_unlabelled_sample_rejected(self):
+        corpus = toy_corpus() + [OpcodeSequence("x0", ("MOV", "PUSH"))]
+        with pytest.raises(ValueError, match="'x0' has no class label"):
+            build_database(corpus)
 
 
 class TestSaveLoad:

@@ -19,9 +19,8 @@ from .classifier import classify
 from .clusterer import (
     DEFAULT_EPS_SCHEDULE,
     DEFAULT_MIN_PTS,
-    compute_distance_matrix,
-    eps_setting_comparison,
-    format_cluster_report,
+    class_matrix,
+    cluster_report_csv,
     validate_eps_schedule,
 )
 from .errors import OpsigError
@@ -35,8 +34,8 @@ from .evaluation import (
     write_crossval_reports,
 )
 from .ingest import load_corpus, parse_sample_file
-from .opgraph import DEFAULT_RETAIN_FRACTION, code_corpus, graph_for_sequence, normalized_graph
-from .signatures import DEFAULT_SEED, build_database, load_database, save_database
+from .opgraph import DEFAULT_RETAIN_FRACTION, code_corpus, graph_for_sequence
+from .signatures import DEFAULT_SEED, build_database, class_rows, load_database, save_database
 from .synthcorpus import DEFAULT_CONFIG, generate_corpus, write_corpus
 
 
@@ -242,19 +241,9 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
 
 def _cmd_cluster_report(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    coded = code_corpus(corpus)
-    vocab, slots = coded.vocabulary(range(len(corpus)), args.retain)
-    by_label: dict[str, list[int]] = {}
-    for i, sample in enumerate(corpus):
-        by_label.setdefault(sample.label, []).append(i)
-    matrices = {}
-    for label, members in by_label.items():
-        rows = coded.count_rows(members, slots)[0]
-        ids = [corpus[i].sample_id for i in members]
-        graphs = [(sample_id, normalized_graph(row, vocab)) for sample_id, row in zip(ids, rows)]
-        matrices[label] = compute_distance_matrix(graphs)
-    report = eps_setting_comparison(matrices, args.eps, args.min_pts)
-    print(format_cluster_report(report), end="")
+    vocab, classes = class_rows(code_corpus(corpus), corpus, range(len(corpus)), args.retain)
+    matrices = {label: class_matrix(rows, vocab) for label, rows in classes}
+    print(cluster_report_csv(matrices, args.eps, args.min_pts), end="")
     return 0
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import UnknownSampleError, VocabularyMismatchError
-from .opgraph import OpcodeGraph, same_vocabulary, scaled_l1
+from .opgraph import OpcodeGraph, OpcodeVocabulary, normalized_graph, same_vocabulary, scaled_l1
 
 NOISE = -1
 DEFAULT_EPS_SCHEDULE = (0.01, 0.1)
@@ -61,6 +61,13 @@ def compute_distance_matrix(graphs: Sequence[tuple[str, OpcodeGraph]]) -> Distan
         values[i, i + 1 :] = row
         values[i + 1 :, i] = row
     return DistanceMatrix(ids, values)
+
+
+def class_matrix(rows: np.ndarray, vocab: OpcodeVocabulary) -> DistanceMatrix:
+    """Distances between the graphs of one class's count rows; row ``i`` is named ``str(i)``."""
+    return compute_distance_matrix(
+        [(str(i), normalized_graph(row, vocab)) for i, row in enumerate(rows)]
+    )
 
 
 def submatrix(matrix: DistanceMatrix, keep_ids: Iterable[str]) -> DistanceMatrix:
@@ -200,61 +207,18 @@ def multi_round_cluster(
     return ClusterSet(family, tuple(groups))
 
 
-@dataclass(frozen=True)
-class ClusterReportRow:
-    eps_setting: str
-    family: str
-    samples: int
-    clusters: int
-    unclustered: int
-
-
-def cluster_report(
-    runs: Sequence[tuple[str, Sequence[ClusterSet]]]
-) -> list[ClusterReportRow]:
-    """One row per (eps setting, family): sample, cluster and unclustered counts."""
-    rows = []
-    for setting, cluster_sets in runs:
-        for cluster_set in cluster_sets:
-            rows.append(
-                ClusterReportRow(
-                    setting,
-                    cluster_set.family,
-                    cluster_set.sample_count,
-                    cluster_set.cluster_count,
-                    cluster_set.unclustered_count,
-                )
-            )
-    return rows
-
-
-def format_cluster_report(rows: Sequence[ClusterReportRow]) -> str:
-    lines = ["eps_setting,family,samples,clusters,unclustered"]
-    for row in rows:
-        lines.append(
-            f"{row.eps_setting},{row.family},{row.samples},{row.clusters},{row.unclustered}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def eps_setting_comparison(
+def cluster_report_csv(
     matrices: Mapping[str, DistanceMatrix],
     schedule: Iterable[float],
     min_pts: int = DEFAULT_MIN_PTS,
-) -> list[ClusterReportRow]:
-    """Compare each single eps value against the full multi-round schedule."""
+) -> str:
+    """CSV of each family's counts under each eps value alone, then the whole ``schedule``."""
     eps_values = validate_eps_schedule(schedule)
-    families = sorted(matrices)
-    runs = []
-    for eps in eps_values:
-        cluster_sets = [
-            multi_round_cluster(matrices[fam], (eps,), min_pts, family=fam)
-            for fam in families
-        ]
-        runs.append((f"{eps:g}", cluster_sets))
-    proposed = [
-        multi_round_cluster(matrices[fam], eps_values, min_pts, family=fam)
-        for fam in families
-    ]
-    runs.append(("proposed", proposed))
-    return cluster_report(runs)
+    settings = [(f"{eps:g}", (eps,)) for eps in eps_values] + [("proposed", eps_values)]
+    lines = ["eps_setting,family,samples,clusters,unclustered"]
+    for setting, rounds in settings:
+        for family in sorted(matrices):
+            found = multi_round_cluster(matrices[family], rounds, min_pts, family=family)
+            counts = (found.sample_count, found.cluster_count, found.unclustered_count)
+            lines.append(",".join(map(str, (setting, family, *counts))))
+    return "\n".join(lines) + "\n"

@@ -194,7 +194,6 @@ def run_crossval(
     plan = stratified_kfold(corpus, k, seed)
     coded = code_corpus(corpus)
     folds = [plan.fold_of(sample) for sample in corpus]
-    by_id = sorted(range(len(corpus)), key=lambda i: corpus[i].sample_id)
     labels = tuple(sorted({sample.label for sample in corpus}))
     position = {label: i for i, label in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
@@ -202,20 +201,17 @@ def run_crossval(
     signatures_per_fold: list[int] = []
     for fold in range(k):
         try:
-            train = [i for i in by_id if folds[i] != fold]
+            train = [i for i in range(len(corpus)) if folds[i] != fold]
             test = [i for i in range(len(corpus)) if folds[i] == fold]
-            by_label: dict[str, list[int]] = {}
-            for i in train:
-                by_label.setdefault(corpus[i].label, []).append(i)
-            vocab, slots = coded.vocabulary(train, config.retain_fraction)
             db = train_database(
-                coded, by_label, vocab, slots, config.eps_schedule, config.min_pts, seed,
-                config.monolithic,
+                coded, corpus, train, config.retain_fraction, config.eps_schedule,
+                config.min_pts, seed, config.monolithic,
             )
-            rows, dropped = coded.count_rows(test, slots)
+            rows, dropped = coded.count_rows(test, db.vocabulary)
             dropped_test += int(dropped.sum())
             batch = [
-                (corpus[i].sample_id, normalized_graph(row, vocab)) for i, row in zip(test, rows)
+                (corpus[i].sample_id, normalized_graph(row, db.vocabulary))
+                for i, row in zip(test, rows)
             ]
             predictions = classify_batch(batch, db)
             for i, prediction in zip(test, predictions):

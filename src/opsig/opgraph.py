@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -129,13 +129,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def _rank_and_cut(
     bigrams: Sequence[Bigram], counts: np.ndarray, retain_fraction: float
-) -> tuple[OpcodeVocabulary, np.ndarray]:
+) -> OpcodeVocabulary:
     """The vocabulary of the top bigrams covering ``retain_fraction`` of all occurrences.
 
     ``bigrams`` are in lexicographic order and ``counts`` holds their integer
     counts, zero allowed. Bigrams rank by count descending, ties in bigram
     order, and the shortest ranked prefix reaching the threshold is retained.
-    Also returns the retained positions in ``bigrams``, ascending.
     """
     if not 0.0 < retain_fraction <= 1.0:
         raise ValueError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
@@ -147,10 +146,9 @@ def _rank_and_cut(
     # Guard against float spill, e.g. 0.9 * 10 -> 9.000000000000002.
     threshold = math.ceil(target - 1e-9 * max(1.0, target))
     cut = int(np.searchsorted(np.cumsum(counts[ranked]), threshold)) + 1
-    kept = np.sort(ranked[:cut])
-    retained = [bigrams[i] for i in kept.tolist()]
+    retained = [bigrams[i] for i in ranked[:cut].tolist()]
     opcodes = sorted({op for pair in retained for op in pair})
-    return OpcodeVocabulary(tuple(opcodes), frozenset(retained), retain_fraction), kept
+    return OpcodeVocabulary(tuple(opcodes), frozenset(retained), retain_fraction)
 
 
 def build_vocabulary(
@@ -159,22 +157,30 @@ def build_vocabulary(
     """Keep the top bigrams covering ``retain_fraction`` of all occurrences."""
     bigrams = sorted(corpus_counts.counts)
     counts = np.fromiter(map(corpus_counts.counts.__getitem__, bigrams), np.int64, len(bigrams))
-    return _rank_and_cut(bigrams, counts, retain_fraction)[0]
+    return _rank_and_cut(bigrams, counts, retain_fraction)
 
 
 @dataclass(frozen=True, eq=False)
 class CodedCorpus:
     """Every sample's bigram counts, coded once as integers.
 
-    ``bigrams`` lists the corpus's distinct bigrams in lexicographic order.
-    Sample ``i`` has ``counts[j]`` occurrences of bigram ``bigrams[pairs[j]]``
+    ``opcodes`` is the corpus's sorted opcode table; row ``k`` of ``bigram_codes``
+    holds the table indices of distinct bigram ``k``, in lexicographic order.
+    Sample ``i`` has ``counts[j]`` occurrences of distinct bigram ``pairs[j]``
     for each ``j`` in ``range(offsets[i], offsets[i + 1])``.
     """
 
-    bigrams: list[Bigram]
+    opcodes: list[str]
+    bigram_codes: np.ndarray
     pairs: np.ndarray
     counts: np.ndarray
     offsets: np.ndarray
+    _slot_maps: dict[OpcodeVocabulary, np.ndarray] = field(default_factory=dict, init=False)
+
+    @cached_property
+    def bigrams(self) -> list[Bigram]:
+        """The distinct bigrams, in lexicographic order."""
+        return [(self.opcodes[a], self.opcodes[b]) for a, b in self.bigram_codes.tolist()]
 
     def _entries(self, positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Each entry of the samples at ``positions``, with the index of its sample there."""
@@ -185,34 +191,43 @@ class CodedCorpus:
         shifts = self.offsets[positions] - (np.cumsum(lengths) - lengths)
         return np.arange(len(owners)) + shifts[owners], owners
 
-    def vocabulary(
-        self, positions: Sequence[int], retain_fraction: float
-    ) -> tuple[OpcodeVocabulary, np.ndarray]:
-        """The vocabulary of the samples at ``positions``, as ``build_vocabulary`` filters it.
-
-        Also returns each distinct bigram's slot in it, -1 where not retained.
-        """
+    def vocabulary(self, positions: Sequence[int], retain_fraction: float) -> OpcodeVocabulary:
+        """The vocabulary of the samples at ``positions``, as ``build_vocabulary`` filters it."""
         entries, _ = self._entries(positions)
         totals = np.bincount(
-            self.pairs[entries], weights=self.counts[entries], minlength=len(self.bigrams)
+            self.pairs[entries], weights=self.counts[entries], minlength=len(self.bigram_codes)
         )
-        vocab, kept = _rank_and_cut(self.bigrams, totals.astype(np.int64), retain_fraction)
-        slots = np.full(len(self.bigrams), -1, dtype=np.intp)
-        slots[kept] = np.arange(len(kept))
-        return vocab, slots
+        return _rank_and_cut(self.bigrams, totals.astype(np.int64), retain_fraction)
+
+    def _slots(self, vocab: OpcodeVocabulary) -> np.ndarray:
+        """Each distinct bigram's slot in ``vocab``'s graph vectors, -1 where not retained.
+
+        Only the last vocabulary's map is kept: a fold counts every class and its test
+        samples with one vocabulary, and older ones would only hold memory.
+        """
+        if vocab in self._slot_maps:
+            return self._slot_maps[vocab]
+        self._slot_maps.clear()
+        # an opcode outside the vocabulary gets index V, whose row and column hold no slot
+        position, width = vocab.index.get, vocab.size + 1
+        codes = np.array([position(op, vocab.size) for op in self.opcodes])
+        slot_of_cell = np.full(width * width, -1)
+        slot_of_cell[vocab.cell_rows * width + vocab.cell_cols] = np.arange(len(vocab.flat_cells))
+        firsts, seconds = codes[self.bigram_codes].T
+        slots = self._slot_maps[vocab] = slot_of_cell[firsts * width + seconds]
+        return slots
 
     def count_rows(
-        self, positions: Sequence[int], slots: np.ndarray
+        self, positions: Sequence[int], vocab: OpcodeVocabulary
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``retained_counts`` of the samples at ``positions``, one row each.
+        """``retained_counts`` over ``vocab`` of the samples at ``positions``, one row each.
 
-        ``slots`` is a slot map from ``vocabulary``. Also returns each sample's
-        occurrences of bigrams that the vocabulary does not retain.
+        Also returns each sample's occurrences of bigrams that ``vocab`` does not retain.
         """
         entries, owners = self._entries(positions)
-        entry_slots, counts = slots[self.pairs[entries]], self.counts[entries]
+        entry_slots, counts = self._slots(vocab)[self.pairs[entries]], self.counts[entries]
         kept = entry_slots >= 0
-        size = int(slots.max()) + 1
+        size = len(vocab.flat_cells)
         rows = np.bincount(
             owners[kept] * size + entry_slots[kept],
             weights=counts[kept],
@@ -234,11 +249,10 @@ def code_corpus(samples: Sequence[OpcodeSequence]) -> CodedCorpus:
         sample_counts.append(counts)
     # a pair's id is first * A + second over the sorted table, so id order is lexicographic
     pair_ids, pairs = np.unique(np.concatenate(sample_pairs), return_inverse=True)
-    firsts, seconds = np.divmod(pair_ids, width)
-    bigrams = [(table[a], table[b]) for a, b in zip(firsts.tolist(), seconds.tolist())]
+    bigram_codes = np.stack(np.divmod(pair_ids, width), axis=1)
     offsets = np.zeros(len(samples) + 1, dtype=np.intp)
     np.cumsum([len(p) for p in sample_pairs], out=offsets[1:])
-    return CodedCorpus(bigrams, pairs, np.concatenate(sample_counts), offsets)
+    return CodedCorpus(table, bigram_codes, pairs, np.concatenate(sample_counts), offsets)
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -18,16 +18,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .clusterer import (
-    DEFAULT_EPS_SCHEDULE,
-    DEFAULT_MIN_PTS,
-    compute_distance_matrix,
-    multi_round_cluster,
-)
+from .clusterer import DEFAULT_EPS_SCHEDULE, DEFAULT_MIN_PTS, class_matrix, multi_round_cluster
 from .errors import (
     ChecksumMismatchError,
     DatabaseFormatError,
@@ -125,6 +120,28 @@ class SignatureDatabase:
         )
 
 
+def class_rows(
+    coded: CodedCorpus,
+    samples: Sequence[OpcodeSequence],
+    positions: Sequence[int],
+    retain_fraction: float,
+) -> tuple[OpcodeVocabulary, Iterator[tuple[str, np.ndarray]]]:
+    """The vocabulary of the samples at ``positions`` and each class's count rows over it.
+
+    ``samples`` are the samples ``coded`` was made from. Classes come in sorted
+    label order, and each class's rows in ``sample_id`` order.
+    """
+    by_label: dict[str, list[int]] = {}
+    for i in sorted(positions, key=lambda position: samples[position].sample_id):
+        if samples[i].label is None:
+            raise ValueError(f"training sample {samples[i].sample_id!r} has no class label")
+        by_label.setdefault(samples[i].label, []).append(i)
+    vocab = coded.vocabulary(positions, retain_fraction)
+    # one class's count rows at a time: the whole corpus's would raise peak memory
+    rows = ((label, coded.count_rows(by_label[label], vocab)[0]) for label in sorted(by_label))
+    return vocab, rows
+
+
 # build_database's two helpers, not exported; bench/spans.py times them under these names.
 def build_signature(
     rows: np.ndarray, vocab: OpcodeVocabulary, label: str, round_tag: str, ordinal: int
@@ -146,13 +163,12 @@ def build_class_signatures(
     Singleton leftovers yield singleton signatures, so every sample of the
     class is covered by exactly one signature.
     """
-    # a sample is named by its row position, so each group's member ids index ``rows``
-    graphs = [(str(i), normalized_graph(row, vocab)) for i, row in enumerate(rows)]
-    matrix = compute_distance_matrix(graphs)
     signatures = []
     ordinals: dict[str, int] = {}
+    matrix = class_matrix(rows, vocab)
     for group in multi_round_cluster(matrix, eps_schedule, min_pts, family=label).groups:
         ordinal = ordinals[group.round_tag] = ordinals.get(group.round_tag, -1) + 1
+        # a sample is named by its row position, so each group's member ids index ``rows``
         members = [int(i) for i in group.member_ids]
         signatures.append(build_signature(rows[members], vocab, label, group.round_tag, ordinal))
     return signatures
@@ -176,37 +192,27 @@ def build_database(
     """
     if not samples:
         raise EmptyCorpusError("cannot train on an empty corpus")
-    ordered = sorted(samples, key=lambda s: s.sample_id)
-    by_label: dict[str, list[int]] = {}
-    for i, sample in enumerate(ordered):
-        if sample.label is None:
-            raise ValueError(f"training sample {sample.sample_id!r} has no class label")
-        by_label.setdefault(sample.label, []).append(i)
-    coded = code_corpus(ordered)
-    vocab, slots = coded.vocabulary(range(len(ordered)), retain_fraction)
-    return train_database(coded, by_label, vocab, slots, eps_schedule, min_pts, seed, monolithic)
+    return train_database(
+        code_corpus(samples), samples, range(len(samples)), retain_fraction, eps_schedule,
+        min_pts, seed, monolithic,
+    )
 
 
 def train_database(
     coded: CodedCorpus,
-    by_label: Mapping[str, Sequence[int]],
-    vocab: OpcodeVocabulary,
-    slots: np.ndarray,
+    samples: Sequence[OpcodeSequence],
+    positions: Sequence[int],
+    retain_fraction: float,
     eps_schedule: Iterable[float],
     min_pts: int,
     seed: int,
     monolithic: bool,
 ) -> SignatureDatabase:
-    """``build_database`` over coded samples, with ``coded.vocabulary``'s vocabulary and slots.
-
-    ``by_label`` gives each class's samples as positions in ``coded``, in
-    ``sample_id`` order.
-    """
+    """``build_database`` over the samples at ``positions`` of ``samples``, coded as ``coded``."""
+    vocab, classes = class_rows(coded, samples, positions, retain_fraction)
     eps_values = tuple(float(e) for e in eps_schedule)
     signatures: list[Signature] = []
-    for label in sorted(by_label):
-        # one class's count rows at a time: the whole corpus's would raise peak memory
-        rows = coded.count_rows(by_label[label], slots)[0]
+    for label, rows in classes:
         if monolithic:
             signatures.append(build_signature(rows, vocab, label, MONOLITHIC_TAG, 0))
         else:
@@ -303,15 +309,15 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
     if not np.all((values > 0.0) & (values <= 1.0)):
         raise DatabaseFormatError("weights must lie in (0, 1]")
     flat = np.repeat(row_ids, cells_per_row) * size + cols
-    slots = np.searchsorted(flat_cells, flat)
-    if not np.array_equal(flat_cells[np.minimum(slots, len(flat_cells) - 1)], flat):
+    slot_ids = np.searchsorted(flat_cells, flat)
+    if not np.array_equal(flat_cells[np.minimum(slot_ids, len(flat_cells) - 1)], flat):
         raise DatabaseFormatError("weight on a bigram that is not retained")
     row_owner = np.repeat(np.arange(len(row_maps)), list(map(len, row_maps)))
     owner = np.repeat(row_owner, cells_per_row)
     vectors = np.zeros((len(row_maps), len(flat_cells)))
-    vectors[owner, slots] = values
+    vectors[owner, slot_ids] = values
     row_sums = np.bincount(
-        owner * size + vocab.cell_rows[slots], weights=values, minlength=vectors.shape[0] * size
+        owner * size + vocab.cell_rows[slot_ids], weights=values, minlength=vectors.shape[0] * size
     )
     if not np.all((row_sums == 0.0) | (np.abs(row_sums - 1.0) <= 1e-9)):
         raise DatabaseFormatError("a row's weights do not sum to 0 or 1")
@@ -336,16 +342,20 @@ def _all_typed(values: list, kind: type, name: str) -> list:
 
 def load_database(path: str | Path) -> SignatureDatabase:
     """Load a database file, verifying version, checksum and validity."""
-    raw = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(raw)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DatabaseFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatabaseFormatError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DatabaseFormatError(f"{path}: JSON nested too deeply to decode") from exc
     if not isinstance(data, dict):
         raise DatabaseFormatError(f"{path}: top-level document must be an object")
     if "version" not in data:
         raise DatabaseFormatError(f"{path}: missing version field")
-    if data["version"] != FORMAT_VERSION:
+    # a bool or a float would compare equal to 1 and then re-save as different bytes
+    if _typed(data["version"], (int,), f"{path}: version") != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"{path}: unsupported database version {data['version']!r}"
         )

@@ -96,6 +96,16 @@ class TestDomainErrors:
         assert "s1.ops" in err
         assert "Traceback" not in err
 
+    def test_classify_non_utf8_db_exits_1(self, tmp_path, capsys):
+        db_path = tmp_path / "bad.sigdb.json"
+        db_path.write_bytes(b"\xff\xfe\x00\x01")
+        sample = tmp_path / "s.ops"
+        sample.write_text("mov\npush\n")
+        assert dispatch(["classify", "--db", str(db_path), "--input", str(sample)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "bad.sigdb.json: not UTF-8 text" in err
+
 
     def test_classify_sample_without_retained_bigram_exits_1(self, tiny_corpus, tmp_path, capsys):
         db_path = tmp_path / "tiny.sigdb.json"

@@ -3,13 +3,10 @@ import pytest
 
 from opsig.clusterer import (
     NOISE,
-    ClusterSet,
     DistanceMatrix,
-    cluster_report,
+    cluster_report_csv,
     compute_distance_matrix,
     dbscan,
-    eps_setting_comparison,
-    format_cluster_report,
     multi_round_cluster,
     submatrix,
     validate_eps_schedule,
@@ -244,50 +241,36 @@ class TestMultiRoundCluster:
 
 
 class TestClusterReport:
-    def _cluster_set(self, family, cluster_sizes, singleton_count, round_index=1, eps=0.1):
-        from opsig.clusterer import Cluster
-
-        groups = []
-        n = 0
-        for size in cluster_sizes:
-            groups.append(
-                Cluster(tuple(f"{family}{n + i}" for i in range(size)), round_index, eps)
-            )
-            n += size
-        for _ in range(singleton_count):
-            groups.append(Cluster((f"{family}{n}",), None, None))
-            n += 1
-        return ClusterSet(family, tuple(groups))
+    @staticmethod
+    def _blocks(*sizes):
+        """Blocks of samples at distance 0 within a block and 1 across blocks."""
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        values = (block[:, None] != block[None, :]).astype(float)
+        return DistanceMatrix(tuple(f"s{i}" for i in range(len(block))), values)
 
     def test_row_arithmetic(self):
-        cs = self._cluster_set("fam", [5, 3], 2)
-        rows = cluster_report([("0.1", [cs])])
-        assert len(rows) == 1
-        row = rows[0]
-        assert (row.eps_setting, row.family) == ("0.1", "fam")
-        assert (row.samples, row.clusters, row.unclustered) == (10, 2, 2)
+        # two clusters of 5 and 3, and two singletons
+        text = cluster_report_csv({"fam": self._blocks(5, 3, 1, 1)}, (0.1,), 3)
+        assert text.splitlines()[1:] == ["0.1,fam,10,2,2", "proposed,fam,10,2,2"]
 
     def test_all_singletons(self):
-        cs = self._cluster_set("fam", [], 4)
-        row = cluster_report([("proposed", [cs])])[0]
-        assert (row.samples, row.clusters, row.unclustered) == (4, 0, 4)
+        text = cluster_report_csv({"fam": self._blocks(1, 1, 1, 1)}, (0.1,), 3)
+        assert text.splitlines()[1:] == ["0.1,fam,4,0,4", "proposed,fam,4,0,4"]
 
     def test_format_header(self):
-        cs = self._cluster_set("fam", [2], 1)
-        text = format_cluster_report(cluster_report([("0.01", [cs])]))
+        text = cluster_report_csv({"fam": self._blocks(2, 1)}, (0.01,), 2)
         lines = text.splitlines()
         assert lines[0] == "eps_setting,family,samples,clusters,unclustered"
         assert lines[1] == "0.01,fam,3,1,1"
+        assert text.endswith("\n")
 
     def test_eps_setting_comparison_settings(self):
         rng = np.random.default_rng(29)
         matrix, _ = two_scale_matrix(rng)
-        rows = eps_setting_comparison({"fam": matrix}, (0.01, 0.1), 3)
-        settings = [row.eps_setting for row in rows]
-        assert settings == ["0.01", "0.1", "proposed"]
-        by_setting = {row.eps_setting: row for row in rows}
+        text = cluster_report_csv({"fam": matrix}, (0.01, 0.1), 3)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0.01", "0.1", "proposed"]
+        by_setting = {row[0]: row for row in rows}
         # the two loose blobs are invisible at eps 0.01 but found by the schedule
-        assert by_setting["0.01"].clusters == 2
-        assert by_setting["0.01"].unclustered == 12
-        assert by_setting["proposed"].clusters == 4
-        assert by_setting["proposed"].unclustered == 0
+        assert by_setting["0.01"][3:] == ["2", "12"]
+        assert by_setting["proposed"][3:] == ["4", "0"]

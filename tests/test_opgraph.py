@@ -175,14 +175,14 @@ def test_coded_counts_match_counter_reference(drawn, retain):
         with pytest.raises(EmptyCorpusError):
             coded.vocabulary(train, retain)
         return
-    vocab, slots = coded.vocabulary(train, retain)
+    vocab = coded.vocabulary(train, retain)
     reference = build_vocabulary(merged, retain)
     assert (vocab.opcodes, vocab.retained_bigrams) == loop_vocabulary(merged, retain)
     assert (reference.opcodes, reference.retained_bigrams) == loop_vocabulary(merged, retain)
     assert vocab == reference
     # held-out samples first, then the training ones backwards: rows follow ``positions``
     positions = [i for i in range(len(samples)) if i not in train] + train[::-1]
-    rows, dropped = coded.count_rows(positions, slots)
+    rows, dropped = coded.count_rows(positions, vocab)
     assert rows.shape == (len(samples), len(vocab.flat_cells))
     for i, row, sample_dropped in zip(positions, rows, dropped):
         expected, expected_dropped = retained_counts(count_bigrams(samples[i]), vocab)

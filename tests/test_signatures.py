@@ -266,6 +266,18 @@ class TestSaveLoad:
         with pytest.raises(DatabaseFormatError):
             load_database(path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "utf16.sigdb.json"
+        path.write_bytes(b"\xff\xfe\x00\x01")
+        with pytest.raises(DatabaseFormatError, match=r"utf16\.sigdb\.json: not UTF-8 text"):
+            load_database(path)
+
+    def test_too_deep_json_rejected(self, tmp_path):
+        path = tmp_path / "deep.sigdb.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(DatabaseFormatError, match=r"deep\.sigdb\.json: JSON nested too"):
+            load_database(path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_database(tmp_path / "gone.sigdb.json")
@@ -469,6 +481,16 @@ class TestLoadValidity:
         target[key] = bad
         _resign(path, doc)
         with pytest.raises(DatabaseFormatError, match=rf"{name} must be"):
+            load_database(path)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_mistyped_version_rejected(self, tmp_path, bad):
+        # both compare equal to 1, so without the type check they load and re-save as other bytes
+        doc = json.loads((DATA / "saved_v1.sigdb.json").read_text())
+        doc["version"] = bad
+        path = tmp_path / "v.sigdb.json"
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"v\.sigdb\.json: version must be int"):
             load_database(path)
 
     def test_string_weight_rejected(self, saved):

@@ -51,12 +51,20 @@ def normalize_mnemonic(token: str) -> str:
 def parse_mnemonic_lines(text: str, sample_id: str, label: str | None = None) -> OpcodeSequence:
     """Parse one opcode per non-blank, non-comment line, in file order.
 
-    Internal whitespace is checked once per text: ``strip``, ``split`` and
+    Canonical text, as ``format_mnemonic_lines`` writes it, takes one ``split``:
+    if the upper-cased text has no ``#`` and equals its fields joined by ``"\n"``,
+    with or without one trailing ``"\n"``, the fields are the opcodes, because
+    ``str.upper`` maps whitespace to itself and never creates whitespace or ``#``.
+    Other text has its internal whitespace checked once: ``strip``, ``split`` and
     ``splitlines`` share one whitespace definition, so a stripped line holds
     whitespace exactly when it splits into more than one field. A text that
     fails the check goes through ``normalize_mnemonic`` line by line, so the
     first bad line raises.
     """
+    upper = text.upper()
+    fields = upper.split()
+    if fields and _COMMENT_PREFIX not in upper and upper.removesuffix("\n") == "\n".join(fields):
+        return OpcodeSequence(sample_id, tuple(fields), label)
     kept = [line for line in map(str.strip, text.splitlines())
             if line and not line.startswith(_COMMENT_PREFIX)]
     if not kept:

@@ -10,17 +10,20 @@ on [0, 1]: each row is a point on the probability simplex (or all zero), so
 one row pair contributes at most 2. Clustering, classification and the
 similarity table all score graphs with the one kernel, ``scaled_l1``.
 
-``count_bigrams`` counts one sample, as classification does; training codes
-a whole corpus once with ``code_corpus`` and takes its vocabularies and count
-rows from that coding.
+Both classification and training code opcodes as integers. Training codes a
+whole corpus once with ``code_corpus`` and takes its vocabularies and count
+rows from that coding; ``graph_for_sequence`` codes one sample through the
+vocabulary's cell table, ``slot_of_cell``. ``count_bigrams`` and
+``build_graph`` are the same counts and graphs as dicts keyed by bigram.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -121,6 +124,17 @@ class OpcodeVocabulary:
         cells = zip(self.cell_rows.tolist(), self.cell_cols.tolist())
         return {(ops[row], ops[col]): slot for slot, (row, col) in enumerate(cells)}
 
+    @cached_property
+    def slot_of_cell(self) -> np.ndarray:
+        """Slot of cell ``row * (V + 1) + col`` in a graph vector, -1 where not retained.
+
+        An opcode outside the vocabulary has index V, whose row and column hold no slot.
+        """
+        width = self.size + 1
+        table = np.full(width * width, -1, dtype=np.intp)
+        table[self.cell_rows * width + self.cell_cols] = np.arange(len(self.flat_cells))
+        return _read_only(table)
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
@@ -175,7 +189,6 @@ class CodedCorpus:
     pairs: np.ndarray
     counts: np.ndarray
     offsets: np.ndarray
-    _slot_maps: dict[OpcodeVocabulary, np.ndarray] = field(default_factory=dict, init=False)
 
     @cached_property
     def bigrams(self) -> list[Bigram]:
@@ -199,24 +212,6 @@ class CodedCorpus:
         )
         return _rank_and_cut(self.bigrams, totals.astype(np.int64), retain_fraction)
 
-    def _slots(self, vocab: OpcodeVocabulary) -> np.ndarray:
-        """Each distinct bigram's slot in ``vocab``'s graph vectors, -1 where not retained.
-
-        Only the last vocabulary's map is kept: a fold counts every class and its test
-        samples with one vocabulary, and older ones would only hold memory.
-        """
-        if vocab in self._slot_maps:
-            return self._slot_maps[vocab]
-        self._slot_maps.clear()
-        # an opcode outside the vocabulary gets index V, whose row and column hold no slot
-        position, width = vocab.index.get, vocab.size + 1
-        codes = np.array([position(op, vocab.size) for op in self.opcodes])
-        slot_of_cell = np.full(width * width, -1)
-        slot_of_cell[vocab.cell_rows * width + vocab.cell_cols] = np.arange(len(vocab.flat_cells))
-        firsts, seconds = codes[self.bigram_codes].T
-        slots = self._slot_maps[vocab] = slot_of_cell[firsts * width + seconds]
-        return slots
-
     def count_rows(
         self, positions: Sequence[int], vocab: OpcodeVocabulary
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +219,11 @@ class CodedCorpus:
 
         Also returns each sample's occurrences of bigrams that ``vocab`` does not retain.
         """
+        # each distinct bigram's slot in ``vocab``'s graph vectors, -1 where not retained
+        firsts, seconds = _vocabulary_codes(self.opcodes, vocab)[self.bigram_codes].T
+        slots = vocab.slot_of_cell[firsts * (vocab.size + 1) + seconds]
         entries, owners = self._entries(positions)
-        entry_slots, counts = self._slots(vocab)[self.pairs[entries]], self.counts[entries]
+        entry_slots, counts = slots[self.pairs[entries]], self.counts[entries]
         kept = entry_slots >= 0
         size = len(vocab.flat_cells)
         rows = np.bincount(
@@ -235,6 +233,11 @@ class CodedCorpus:
         )
         dropped = np.bincount(owners[~kept], weights=counts[~kept], minlength=len(positions))
         return rows.reshape(len(positions), size), dropped.astype(np.int64)
+
+
+def _vocabulary_codes(opcodes: Sequence[str], vocab: OpcodeVocabulary) -> np.ndarray:
+    """Each opcode's index in ``vocab``, or V for an opcode outside it."""
+    return np.fromiter(map(vocab.index.get, opcodes, repeat(vocab.size)), np.intp, len(opcodes))
 
 
 def code_corpus(samples: Sequence[OpcodeSequence]) -> CodedCorpus:
@@ -339,8 +342,12 @@ def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGr
 
 
 def graph_for_sequence(seq: OpcodeSequence, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:
-    """Convenience: count bigrams and build the graph in one step."""
-    return build_graph(count_bigrams(seq), vocab)
+    """``build_graph(count_bigrams(seq), vocab)``, counted through ``vocab.slot_of_cell``."""
+    codes = _vocabulary_codes(_opcodes(seq), vocab)
+    slots = vocab.slot_of_cell[codes[:-1] * (vocab.size + 1) + codes[1:]]
+    kept = slots[slots >= 0]
+    vector = np.bincount(kept, minlength=len(vocab.flat_cells)).astype(float)
+    return normalized_graph(vector, vocab), len(slots) - len(kept)
 
 
 @dataclass(frozen=True)

@@ -346,8 +346,8 @@ def load_database(path: str | Path) -> SignatureDatabase:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise DatabaseFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatabaseFormatError(f"{path}: not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a JSON syntax error, or an integer past Python's digit limit
+        raise DatabaseFormatError(f"{path}: cannot decode JSON: {exc}") from exc
     except RecursionError as exc:
         raise DatabaseFormatError(f"{path}: JSON nested too deeply to decode") from exc
     if not isinstance(data, dict):

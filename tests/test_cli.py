@@ -106,6 +106,15 @@ class TestDomainErrors:
         assert "error:" in err
         assert "bad.sigdb.json: not UTF-8 text" in err
 
+    def test_classify_db_with_overlong_integer_exits_1(self, tmp_path, capsys):
+        db_path = tmp_path / "long.sigdb.json"
+        db_path.write_text('{"version": ' + "1" * 5_000 + "}")
+        sample = tmp_path / "s.ops"
+        sample.write_text("mov\npush\n")
+        assert dispatch(["classify", "--db", str(db_path), "--input", str(sample)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "long.sigdb.json: cannot decode JSON" in err
 
     def test_classify_sample_without_retained_bigram_exits_1(self, tiny_corpus, tmp_path, capsys):
         db_path = tmp_path / "tiny.sigdb.json"

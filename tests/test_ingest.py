@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,47 @@ class TestOnePassParse:
     def test_first_bad_line_named(self):
         text = "mov\nrep movsb\nlock add\n"
         with pytest.raises(ParseError, match="'rep movsb'"):
+            parse_mnemonic_lines(text, "s")
+
+
+class TestCanonicalTextParse:
+    def test_upper_keeps_whitespace_and_comment_marks(self):
+        # the one-split parse of canonical text relies on this for every code point
+        changed = [c for c in map(chr, range(sys.maxunicode + 1)) if c.upper() != c]
+        assert changed
+        for c in changed:
+            upper = c.upper()
+            assert not c.isspace(), f"whitespace {c!r} changes under upper()"
+            assert not any(ch.isspace() for ch in upper), f"{c!r} gains whitespace"
+            assert c != "#" and "#" not in upper, f"{c!r} changes a comment mark"
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("MOV\nPUSH\nMOV\n", ("MOV", "PUSH", "MOV")),
+            ("MOV\nPUSH\nMOV", ("MOV", "PUSH", "MOV")),
+            ("mov\nPush\n", ("MOV", "PUSH")),
+            ("\nMOV\nPUSH\n", ("MOV", "PUSH")),
+            ("MOV\r\nPUSH\r\n", ("MOV", "PUSH")),
+            ("#header\nMOV\nPUSH\n", ("MOV", "PUSH")),
+            ("MOV\nPUSH\n\n", ("MOV", "PUSH")),
+        ],
+        ids=["canonical", "no-final-newline", "lower-case", "leading-blank", "crlf",
+             "comment", "two-final-newlines"],
+    )
+    def test_equals_per_line_parse(self, text, expected):
+        assert parse_mnemonic_lines(text, "s", "lab") == per_line_parse(text, "s", "lab")
+        assert parse_mnemonic_lines(text, "s", "lab").opcodes == expected
+
+    def test_two_tokens_on_a_line_name_the_original_line(self):
+        text = "MOV\nrep Movsb\nPUSH\n"
+        assert _outcome(parse_mnemonic_lines, text) == _outcome(per_line_parse, text)
+        with pytest.raises(ParseError, match="'rep Movsb'"):
+            parse_mnemonic_lines(text, "s")
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n"])
+    def test_blank_text_rejected(self, text):
+        with pytest.raises(EmptySampleError):
             parse_mnemonic_lines(text, "s")
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from opsig.errors import EmptyCorpusError, EmptySampleError, VocabularyMismatchError
 from opsig.ingest import OpcodeSequence
@@ -14,9 +14,12 @@ from opsig.opgraph import (
     code_corpus,
     count_bigrams,
     graph_distance,
+    graph_for_sequence,
     merge_counts,
     retained_counts,
 )
+from opsig.signatures import build_database
+from opsig.synthcorpus import generate_corpus
 
 from helpers import make_vocab, naive_graph_distance, random_graph
 
@@ -188,6 +191,46 @@ def test_coded_counts_match_counter_reference(drawn, retain):
         expected, expected_dropped = retained_counts(count_bigrams(samples[i]), vocab)
         assert row.tobytes() == expected.tobytes()
         assert sample_dropped == expected_dropped
+
+
+def assert_matches_dict_path(seq, vocab):
+    """``graph_for_sequence`` gives the graph and drop count of the dict-based path, bit for bit."""
+    graph, dropped = graph_for_sequence(seq, vocab)
+    expected, expected_dropped = build_graph(count_bigrams(seq), vocab)
+    assert graph.vector.tobytes() == expected.vector.tobytes()
+    assert dropped == expected_dropped
+
+
+class TestGraphForSequence:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coded_corpora(),
+        # training never holds NOP or XOR, so a query can hold opcodes outside the vocabulary
+        st.lists(st.sampled_from(("ADD", "JMP", "MOV", "POP", "NOP", "XOR")), min_size=1, max_size=20),
+        st.one_of(st.sampled_from((0.1, 0.5, 1.0)), st.floats(0.01, 1.0)),
+    )
+    def test_matches_dict_path(self, drawn, query, retain):
+        merged = merge_counts(count_bigrams(OpcodeSequence("t", tuple(ops))) for ops, _ in drawn)
+        assume(merged.total > 0)
+        assert_matches_dict_path(OpcodeSequence("q", tuple(query)), build_vocabulary(merged, retain))
+
+    @pytest.mark.parametrize("opcode", ["OP000", "NOP"])
+    def test_one_opcode_gives_all_zero_graph(self, opcode):
+        vocab = make_vocab(2)
+        seq = OpcodeSequence("s", (opcode,))
+        graph, dropped = graph_for_sequence(seq, vocab)
+        assert not graph.vector.any() and dropped == 0
+        assert_matches_dict_path(seq, vocab)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(EmptySampleError):
+            graph_for_sequence(OpcodeSequence("s", ()), make_vocab(1))
+
+    def test_default_corpus_matches_dict_path(self):
+        samples, _ = generate_corpus()
+        vocab = build_database(samples).vocabulary
+        for seq in samples:
+            assert_matches_dict_path(seq, vocab)
 
 
 class TestBuildGraph:

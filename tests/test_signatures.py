@@ -278,6 +278,12 @@ class TestSaveLoad:
         with pytest.raises(DatabaseFormatError, match=r"deep\.sigdb\.json: JSON nested too"):
             load_database(path)
 
+    def test_integer_past_digit_limit_rejected(self, tmp_path):
+        path = tmp_path / "long.sigdb.json"
+        path.write_text('{"version": ' + "1" * 5_000 + "}")
+        with pytest.raises(DatabaseFormatError, match=r"long\.sigdb\.json: cannot decode JSON"):
+            load_database(path)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_database(tmp_path / "gone.sigdb.json")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyDatabaseError, EmptyGraphError, OpsigError, VocabularyMismatchError
 from .ingest import BENIGN_LABEL
-from .opgraph import OpcodeGraph, scaled_l1
+from .opgraph import OpcodeGraph, same_vocabulary, scaled_l1
 from .signatures import SignatureDatabase
 
 MALWARE_VERDICT = "malware"
@@ -57,7 +57,7 @@ def _score(
     vocab, signatures = db.vocabulary, db.signatures
     results: list[Prediction | OpsigError | None] = [None] * len(samples)
     for i, (sample_id, graph) in enumerate(samples):
-        if not (graph.vocab is vocab or graph.vocab == vocab):
+        if not same_vocabulary(graph.vocab, vocab):
             message = f"sample {sample_id!r} was built on a different vocabulary"
             results[i] = VocabularyMismatchError(message)
         elif not graph.vector.any():  # it would be nearest to the emptiest signature

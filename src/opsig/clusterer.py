@@ -51,7 +51,7 @@ def compute_distance_matrix(graphs: Sequence[tuple[str, OpcodeGraph]]) -> Distan
     ids = tuple(sample_id for sample_id, _ in graphs)
     first = graphs[0][1]
     for _, graph in graphs[1:]:
-        if not same_vocabulary(first, graph):
+        if not same_vocabulary(first.vocab, graph.vocab):
             raise VocabularyMismatchError("all graphs must share one vocabulary")
     stack = np.stack([graph.vector for _, graph in graphs])
     n = len(graphs)

@@ -114,19 +114,13 @@ def _read_sample_text(path: Path) -> str:
         raise ParseError(f"cannot read sample file {path}: {exc}") from exc
 
 
-def parse_sample_file(
-    path: str | Path,
-    sample_id: str | None = None,
-    label: str | None = None,
-    dialect: str | None = None,
-) -> OpcodeSequence:
-    """Read one sample file; ``dialect=None`` selects the mnemonic-per-line format."""
+def parse_sample_file(path: str | Path, dialect: str | None = None) -> OpcodeSequence:
+    """Read one unlabelled sample file named by its stem; ``dialect=None`` reads mnemonic lines."""
     path = Path(path)
     text = _read_sample_text(path)
-    sid = sample_id if sample_id is not None else path.stem
     if dialect is None:
-        return parse_mnemonic_lines(text, sid, label)
-    return parse_disassembly_listing(text, dialect, sid, label)
+        return parse_mnemonic_lines(text, path.stem)
+    return parse_disassembly_listing(text, dialect, path.stem)
 
 
 def load_corpus(root: str | Path) -> list[OpcodeSequence]:

@@ -86,6 +86,9 @@ class OpcodeVocabulary:
     retained_bigrams: frozenset[Bigram]
     retain_fraction: float
 
+    def __post_init__(self) -> None:
+        _check_retain_fraction(self.retain_fraction)
+
     @property
     def size(self) -> int:
         return len(self.opcodes)
@@ -141,6 +144,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _check_retain_fraction(retain_fraction: float) -> None:
+    if not 0.0 < retain_fraction <= 1.0:  # also rejects NaN
+        raise ValueError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+
+
 def _rank_and_cut(
     bigrams: Sequence[Bigram], counts: np.ndarray, retain_fraction: float
 ) -> OpcodeVocabulary:
@@ -150,8 +158,7 @@ def _rank_and_cut(
     counts, zero allowed. Bigrams rank by count descending, ties in bigram
     order, and the shortest ranked prefix reaching the threshold is retained.
     """
-    if not 0.0 < retain_fraction <= 1.0:
-        raise ValueError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+    _check_retain_fraction(retain_fraction)
     total = int(counts.sum())
     if total <= 0:
         raise EmptyCorpusError("cannot build a vocabulary from zero bigrams")
@@ -265,7 +272,8 @@ class OpcodeGraph:
     ``vector`` holds one weight per retained bigram, in the vocabulary's slot
     order. ``OpcodeGraph(vocab, weights)`` accepts the dense V x V form and
     rejects weight on any cell outside the retained bigrams; ``from_vector``
-    wraps a vector directly.
+    wraps a vector directly. Graphs are equal when their vocabularies are the
+    same and their vectors equal; a graph holds an array, so it is unhashable.
     """
 
     vocab: OpcodeVocabulary
@@ -298,6 +306,15 @@ class OpcodeGraph:
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "vector", vector)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OpcodeGraph):
+            return NotImplemented
+        return same_vocabulary(self.vocab, other.vocab) and np.array_equal(
+            self.vector, other.vector
+        )
+
+    __hash__ = None
+
     @cached_property
     def weights(self) -> np.ndarray:
         """Read-only dense V x V view; zero outside the retained bigrams."""
@@ -306,8 +323,8 @@ class OpcodeGraph:
         return _read_only(dense)
 
 
-def same_vocabulary(a: OpcodeGraph, b: OpcodeGraph) -> bool:
-    return a.vocab is b.vocab or a.vocab == b.vocab
+def same_vocabulary(a: OpcodeVocabulary, b: OpcodeVocabulary) -> bool:
+    return a is b or a == b
 
 
 def retained_counts(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[np.ndarray, int]:
@@ -374,7 +391,7 @@ def graph_distance(a: OpcodeGraph, b: OpcodeGraph) -> ScoreValue:
     distance = sum(|a - b|) / (2V), which is 0 exactly for identical graphs
     and at most 1; similarity is its complement.
     """
-    if not same_vocabulary(a, b):
+    if not same_vocabulary(a.vocab, b.vocab):
         raise VocabularyMismatchError("graphs use different vocabularies")
     distance = float(scaled_l1(a.vector, b.vector, a.vocab.size))
     return ScoreValue(distance, 1.0 - distance)

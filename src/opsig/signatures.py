@@ -37,6 +37,7 @@ from .opgraph import (
     OpcodeVocabulary,
     code_corpus,
     normalized_graph,
+    same_vocabulary,
 )
 
 FORMAT_VERSION = 1
@@ -45,7 +46,7 @@ DEFAULT_SEED = 7
 MONOLITHIC_TAG = "monolithic"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Signature:
     """One cluster-level opcode graph with its provenance."""
 
@@ -59,20 +60,8 @@ class Signature:
         if self.member_count < 1:
             raise ValueError("member_count must be >= 1")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Signature):
-            return NotImplemented
-        return (
-            self.signature_id == other.signature_id
-            and self.class_label == other.class_label
-            and self.member_count == other.member_count
-            and self.round_tag == other.round_tag
-            and self.graph.vocab == other.graph.vocab
-            and np.array_equal(self.graph.vector, other.graph.vector)
-        )
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SignatureDatabase:
     """All per-class signatures plus the shared vocabulary and run metadata."""
 
@@ -88,10 +77,8 @@ class SignatureDatabase:
         if len(ids) != len(set(ids)):
             raise ValueError("signature ids must be unique")
         for sig in self.signatures:
-            if not (sig.graph.vocab is self.vocabulary or sig.graph.vocab == self.vocabulary):
-                raise ValueError(
-                    f"signature {sig.signature_id!r} uses a different vocabulary"
-                )
+            if not same_vocabulary(sig.graph.vocab, self.vocabulary):
+                raise ValueError(f"signature {sig.signature_id!r} uses a different vocabulary")
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -109,15 +96,6 @@ class SignatureDatabase:
         for sig in self.signatures:
             grouped.setdefault(sig.class_label, []).append(sig)
         return grouped
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignatureDatabase):
-            return NotImplemented
-        return (
-            self.vocabulary == other.vocabulary
-            and self.metadata == other.metadata
-            and self.signatures == other.signatures
-        )
 
 
 def class_rows(
@@ -161,16 +139,19 @@ def build_class_signatures(
     """Cluster one class's samples, given as count rows, and build a signature per group.
 
     Singleton leftovers yield singleton signatures, so every sample of the
-    class is covered by exactly one signature.
+    class is covered by exactly one signature, except that a group with no
+    retained bigram yields none: its signature would have no weight.
     """
     signatures = []
     ordinals: dict[str, int] = {}
     matrix = class_matrix(rows, vocab)
     for group in multi_round_cluster(matrix, eps_schedule, min_pts, family=label).groups:
-        ordinal = ordinals[group.round_tag] = ordinals.get(group.round_tag, -1) + 1
         # a sample is named by its row position, so each group's member ids index ``rows``
-        members = [int(i) for i in group.member_ids]
-        signatures.append(build_signature(rows[members], vocab, label, group.round_tag, ordinal))
+        members = rows[[int(i) for i in group.member_ids]]
+        if not members.any():
+            continue
+        ordinal = ordinals[group.round_tag] = ordinals.get(group.round_tag, -1) + 1
+        signatures.append(build_signature(members, vocab, label, group.round_tag, ordinal))
     return signatures
 
 
@@ -214,7 +195,8 @@ def train_database(
     signatures: list[Signature] = []
     for label, rows in classes:
         if monolithic:
-            signatures.append(build_signature(rows, vocab, label, MONOLITHIC_TAG, 0))
+            if rows.any():  # a class with no retained bigram would get a weightless signature
+                signatures.append(build_signature(rows, vocab, label, MONOLITHIC_TAG, 0))
         else:
             signatures += build_class_signatures(rows, vocab, label, eps_values, min_pts)
     metadata: dict[str, object] = {
@@ -292,7 +274,7 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
     step: each listed cell must be a retained bigram with a weight in (0, 1],
     and every row of every signature must sum to 0 or 1.
     """
-    size, flat_cells = vocab.size, vocab.flat_cells
+    size = vocab.size
     lookup = {str(i): i for i in range(size)}.__getitem__
     row_maps = [entry["rows"] for entry in entries]
     rows = list(chain.from_iterable(map(dict.values, row_maps)))
@@ -308,13 +290,12 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
     values = np.array(weights, dtype=float)
     if not np.all((values > 0.0) & (values <= 1.0)):
         raise DatabaseFormatError("weights must lie in (0, 1]")
-    flat = np.repeat(row_ids, cells_per_row) * size + cols
-    slot_ids = np.searchsorted(flat_cells, flat)
-    if not np.array_equal(flat_cells[np.minimum(slot_ids, len(flat_cells) - 1)], flat):
+    slot_ids = vocab.slot_of_cell[np.repeat(row_ids, cells_per_row) * (size + 1) + cols]
+    if np.any(slot_ids < 0):
         raise DatabaseFormatError("weight on a bigram that is not retained")
     row_owner = np.repeat(np.arange(len(row_maps)), list(map(len, row_maps)))
     owner = np.repeat(row_owner, cells_per_row)
-    vectors = np.zeros((len(row_maps), len(flat_cells)))
+    vectors = np.zeros((len(row_maps), len(vocab.flat_cells)))
     vectors[owner, slot_ids] = values
     row_sums = np.bincount(
         owner * size + vocab.cell_rows[slot_ids], weights=values, minlength=vectors.shape[0] * size

@@ -91,7 +91,6 @@ class FamilyModel:
 def make_family_model(
     alphabet: Sequence[str],
     seed: int | SeedPath,
-    concentration: float | None = None,
     family_label: str = "",
     subfamily_label: str = "",
 ) -> FamilyModel:
@@ -104,8 +103,6 @@ def make_family_model(
     """
     if not alphabet:
         raise ValueError("alphabet must be non-empty")
-    if concentration is None:
-        concentration = ROW_CONCENTRATION
     rng = _rng(seed)
     size = len(alphabet)
     active_size = min(size, max(2, round(size * ACTIVE_FRACTION)))
@@ -115,7 +112,7 @@ def make_family_model(
     for row in range(size):
         successors = min(int(rng.integers(low, high + 1)), active_size)
         cols = rng.choice(active, size=successors, replace=False)
-        transition[row, cols] = rng.dirichlet(np.full(successors, concentration))
+        transition[row, cols] = rng.dirichlet(np.full(successors, ROW_CONCENTRATION))
     initial = np.zeros(size)
     initial[int(rng.choice(active))] = 1.0
     return FamilyModel(family_label, subfamily_label, tuple(alphabet), initial, transition)
@@ -125,7 +122,6 @@ def derive_subfamily(
     base: FamilyModel,
     perturbation: float,
     seed: int | SeedPath,
-    concentration: float | None = None,
     subfamily_label: str = "",
 ) -> FamilyModel:
     """Convex mix of the base chain with a fresh seeded chain.
@@ -134,7 +130,7 @@ def derive_subfamily(
     """
     if not 0.0 <= perturbation <= 1.0:
         raise ValueError(f"perturbation must lie in [0, 1], got {perturbation}")
-    fresh = make_family_model(base.alphabet, seed, concentration)
+    fresh = make_family_model(base.alphabet, seed)
     initial = (1.0 - perturbation) * base.initial + perturbation * fresh.initial
     transition = (1.0 - perturbation) * base.transition + perturbation * fresh.transition
     return FamilyModel(

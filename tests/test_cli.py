@@ -116,6 +116,26 @@ class TestDomainErrors:
         assert "error:" in err
         assert "long.sigdb.json: cannot decode JSON" in err
 
+    def test_classify_db_with_retain_fraction_outside_unit_interval_exits_1(
+        self, tiny_corpus, tmp_path, capsys
+    ):
+        db_path = tmp_path / "tiny.sigdb.json"
+        assert dispatch(["train", "--corpus", str(tiny_corpus), "--db", str(db_path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(db_path.read_text())
+        doc["vocabulary"]["retain_fraction"] = 5
+        del doc["checksum"]
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        db_path.write_text(json.dumps(doc))
+        sample = tmp_path / "s.ops"
+        sample.write_text("mov\npush\n")
+        assert dispatch(["classify", "--db", str(db_path), "--input", str(sample)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "retain_fraction must be in (0, 1], got 5.0" in err
+        assert "Traceback" not in err
+
     def test_classify_sample_without_retained_bigram_exits_1(self, tiny_corpus, tmp_path, capsys):
         db_path = tmp_path / "tiny.sigdb.json"
         assert dispatch(["train", "--corpus", str(tiny_corpus), "--db", str(db_path)]) == 0

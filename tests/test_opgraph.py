@@ -18,7 +18,7 @@ from opsig.opgraph import (
     merge_counts,
     retained_counts,
 )
-from opsig.signatures import build_database
+from opsig.signatures import build_database, load_database, save_database
 from opsig.synthcorpus import generate_corpus
 
 from helpers import make_vocab, naive_graph_distance, random_graph
@@ -363,3 +363,34 @@ class TestGraphDistance:
         b = random_graph(make_vocab(5), rng)
         with pytest.raises(VocabularyMismatchError):
             graph_distance(a, b)
+
+
+class TestGraphEquality:
+    """Graphs compare by value: the same vocabulary and equal vectors."""
+
+    def test_equal_vector_on_equal_vocabulary(self):
+        weights = random_graph(make_vocab(5), np.random.default_rng(3)).weights
+        a, b = OpcodeGraph(make_vocab(5), weights), OpcodeGraph(make_vocab(5), weights)
+        assert a.vocab is not b.vocab
+        assert a == b
+        assert not a != b
+
+    def test_loaded_graph_equals_trained_graph(self, tmp_path):
+        db = build_database(generate_corpus()[0][:60])
+        save_database(db, tmp_path / "db.sigdb.json")
+        loaded = load_database(tmp_path / "db.sigdb.json")
+        assert loaded.vocabulary is not db.vocabulary
+        assert [s.graph for s in loaded.signatures] == [s.graph for s in db.signatures]
+
+    def test_other_vector_or_vocabulary_differs(self):
+        rng = np.random.default_rng(4)
+        vocab = make_vocab(5)
+        a, b = random_graph(vocab, rng), random_graph(vocab, rng)
+        assert a != b
+        assert a != OpcodeGraph(make_vocab(5, retain=0.5), a.weights)
+        assert a != OpcodeGraph.from_vector(make_vocab(6), np.zeros(36))
+        assert a != (a.vocab, a.vector)
+
+    def test_graph_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(random_graph(make_vocab(3), np.random.default_rng(5)))

@@ -14,8 +14,9 @@ from opsig.errors import (
     EmptySampleError,
     UnsupportedVersionError,
 )
+from opsig.classifier import classify
 from opsig.ingest import OpcodeSequence
-from opsig.opgraph import build_graph, count_bigrams, merge_counts
+from opsig.opgraph import build_graph, count_bigrams, graph_for_sequence, merge_counts
 from opsig.signatures import (
     SignatureDatabase,
     build_database,
@@ -24,6 +25,7 @@ from opsig.signatures import (
     save_database,
 )
 from opsig.synthcorpus import (
+    CorpusConfig,
     default_alphabet,
     generate_corpus,
     make_family_model,
@@ -207,6 +209,29 @@ class TestBuildDatabase:
         with pytest.raises(ValueError, match="'x0' has no class label"):
             build_database(corpus)
 
+    def test_sample_without_retained_bigram_gets_no_signature(self):
+        """A weightless signature would sit closest to every short sample."""
+        config = CorpusConfig(
+            families=2, subfamilies_per_family=1, samples_per_subfamily=6, benign_sources=2,
+            samples_per_benign_source=3, alphabet_size=12, length_range=(100, 200), seed=3,
+        )
+        corpus = generate_corpus(config)[0]
+        fam01 = next(s for s in corpus if s.label == "fam01")
+        short = OpcodeSequence("short", fam01.opcodes[:4])
+        odd = OpcodeSequence("odd-000", ("ZZZ", "QQQ"), "fam00")
+        plain, db = build_database(corpus), build_database(corpus + [odd])
+        assert all(sig.graph.vector.any() for sig in db.signatures)
+        expected = classify(graph_for_sequence(short, plain.vocabulary)[0], plain)
+        actual = classify(graph_for_sequence(short, db.vocabulary)[0], db)
+        assert actual.predicted_label == expected.predicted_label
+
+    @pytest.mark.parametrize("monolithic", [False, True])
+    def test_class_without_retained_bigram_gets_no_signature(self, monolithic):
+        corpus = toy_corpus() + [OpcodeSequence("z0", ("ZZZ", "QQQ"), "famZ")]
+        db = build_database(corpus, retain_fraction=0.9, monolithic=monolithic)
+        assert "famZ" not in db.class_labels
+        assert db.class_labels == ("benign", "famA", "famB")
+
 
 class TestSaveLoad:
     def test_round_trip_structural_equality(self, tmp_path):
@@ -310,6 +335,12 @@ class TestDatabaseValidation:
         with pytest.raises(ValueError):
             SignatureDatabase(db.vocabulary, (sig, sig), {})
 
+    def test_signature_on_other_vocabulary_rejected(self, seq1, seq2):
+        db = build_database([seq1], retain_fraction=1.0)
+        other = build_database([seq2], retain_fraction=1.0).signatures[0]
+        with pytest.raises(ValueError, match="uses a different vocabulary"):
+            SignatureDatabase(db.vocabulary, (*db.signatures, other), {})
+
 
 def _resign(path, doc, sort_keys=True):
     """Write ``doc`` back with a freshly computed, valid checksum."""
@@ -400,6 +431,14 @@ class TestLoadValidity:
         doc["vocabulary"]["retained_bigrams"][0] = [-1, 0]
         _resign(path, doc)
         with pytest.raises(DatabaseFormatError, match=r"bigram index"):
+            load_database(path)
+
+    @pytest.mark.parametrize("bad", [-1.0, 5.0, float("nan")])
+    def test_retain_fraction_outside_unit_interval_rejected(self, saved, bad):
+        path, doc, _ = saved
+        doc["vocabulary"]["retain_fraction"] = bad
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"retain_fraction must be in \(0, 1\]"):
             load_database(path)
 
     def test_weight_off_retained_support_rejected(self, saved):

@@ -64,9 +64,8 @@ def _score(
             results[i] = EmptyGraphError(f"sample {sample_id!r} has no retained bigram to match on")
     scored = [i for i, result in enumerate(results) if result is None]
     if scored:
-        distances = np.stack(
-            [scaled_l1(db.vectors, samples[i][1].vector, vocab.size) for i in scored]
-        )
+        layout = db.layout
+        distances = np.stack([scaled_l1(layout, samples[i][1].vector, vocab.size) for i in scored])
         orders = np.argsort(distances, axis=1, kind="stable")
         for i, row, order in zip(scored, distances.tolist(), orders.tolist()):
             ranking = tuple((signatures[j].signature_id, row[j]) for j in order)

@@ -8,14 +8,20 @@ kept as singleton groups.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import UnknownSampleError, VocabularyMismatchError
-from .opgraph import OpcodeGraph, OpcodeVocabulary, normalized_graph, same_vocabulary, scaled_l1
+from .opgraph import (
+    OpcodeGraph,
+    OpcodeVocabulary,
+    graph_layout,
+    normalized_graphs,
+    same_vocabulary,
+    scaled_l1,
+)
 
 NOISE = -1
 DEFAULT_EPS_SCHEDULE = (0.01, 0.1)
@@ -53,11 +59,12 @@ def compute_distance_matrix(graphs: Sequence[tuple[str, OpcodeGraph]]) -> Distan
     for _, graph in graphs[1:]:
         if not same_vocabulary(first.vocab, graph.vocab):
             raise VocabularyMismatchError("all graphs must share one vocabulary")
-    stack = np.stack([graph.vector for _, graph in graphs])
+    vectors = [graph.vector for _, graph in graphs]
+    columns, masses = graph_layout(vectors)
     n = len(graphs)
     values = np.zeros((n, n))
     for i in range(n - 1):
-        row = scaled_l1(stack[i + 1 :], stack[i], first.vocab.size)
+        row = scaled_l1((columns[:, i + 1 :], masses[i + 1 :]), vectors[i], first.vocab.size)
         values[i, i + 1 :] = row
         values[i + 1 :, i] = row
     return DistanceMatrix(ids, values)
@@ -66,7 +73,7 @@ def compute_distance_matrix(graphs: Sequence[tuple[str, OpcodeGraph]]) -> Distan
 def class_matrix(rows: np.ndarray, vocab: OpcodeVocabulary) -> DistanceMatrix:
     """Distances between the graphs of one class's count rows; row ``i`` is named ``str(i)``."""
     return compute_distance_matrix(
-        [(str(i), normalized_graph(row, vocab)) for i, row in enumerate(rows)]
+        [(str(i), graph) for i, graph in enumerate(normalized_graphs(rows, vocab))]
     )
 
 
@@ -93,33 +100,39 @@ def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int) -> np.ndarray:
 
     A point is core iff at least ``min_pts`` points (itself included) lie
     within ``eps``. Returns one label per sample: cluster ids from 0, or
-    NOISE. Cluster growth visits candidates in ascending index order, which
-    pins down the otherwise ambiguous assignment of border points.
+    NOISE. Clusters start from core points in ascending index order, and a
+    border point joins the first cluster that reaches it, which pins down its
+    otherwise ambiguous assignment.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    dist = matrix.values
     n = len(matrix)
-    neighbors = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
-    core = [len(nb) >= min_pts for nb in neighbors]
-    labels = np.full(n, NOISE, dtype=np.int64)
+    # every point's neighbours, itself included, from one comparison: row i's
+    # columns are ``columns[bounds[i]:bounds[i + 1]]``, ascending
+    points, columns = np.nonzero(matrix.values <= eps)
+    bounds = np.searchsorted(points, np.arange(n + 1)).tolist()
+    columns = columns.tolist()
+    core = [bounds[i + 1] - bounds[i] >= min_pts for i in range(n)]
+    labels = [NOISE] * n
     cluster = 0
     for start in range(n):
         if labels[start] != NOISE or not core[start]:
             continue
+        # a point is labelled as it is queued, and only a noise point is, so each
+        # point enters the frontier at most once; only core points extend it
         labels[start] = cluster
-        frontier = deque(neighbors[start])
+        frontier = [start]
         while frontier:
-            point = int(frontier.popleft())
-            if labels[point] != NOISE:
-                continue
-            labels[point] = cluster
-            if core[point]:
-                frontier.extend(neighbors[point])
+            point = frontier.pop()
+            for neighbor in columns[bounds[point] : bounds[point + 1]]:
+                if labels[neighbor] == NOISE:
+                    labels[neighbor] = cluster
+                    if core[neighbor]:
+                        frontier.append(neighbor)
         cluster += 1
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def validate_eps_schedule(values: Iterable[float]) -> tuple[float, ...]:

@@ -25,7 +25,7 @@ from .errors import (
     SimilarityTableError,
 )
 from .ingest import BENIGN_LABEL, OpcodeSequence
-from .opgraph import DEFAULT_RETAIN_FRACTION, code_corpus, normalized_graph
+from .opgraph import DEFAULT_RETAIN_FRACTION, code_corpus, normalized_graphs
 from .signatures import DEFAULT_SEED, SignatureDatabase, train_database
 
 DEFAULT_K = 5
@@ -210,8 +210,8 @@ def run_crossval(
             rows, dropped = coded.count_rows(test, db.vocabulary)
             dropped_test += int(dropped.sum())
             batch = [
-                (corpus[i].sample_id, normalized_graph(row, db.vocabulary))
-                for i, row in zip(test, rows)
+                (corpus[i].sample_id, graph)
+                for i, graph in zip(test, normalized_graphs(rows, db.vocabulary))
             ]
             predictions = classify_batch(batch, db)
             for i, prediction in zip(test, predictions):

@@ -10,6 +10,16 @@ on [0, 1]: each row is a point on the probability simplex (or all zero), so
 one row pair contributes at most 2. Clustering, classification and the
 similarity table all score graphs with the one kernel, ``scaled_l1``.
 
+Weights are non-negative, so ``|a - b| = a + b - 2 min(a, b)`` and the
+distance is ``(mass(a) + mass(b) - 2 * sum(min(a, b))) / 2V``, where a mass is
+the sum of a vector's weights and the sum of minima runs over the slots where
+b is non-zero only: scoring costs follow the sample's support, not the number
+of retained bigrams. The graphs scored against are laid out once, slot-major,
+with their masses (``graph_layout``). Every sum adds one term at a time in slot
+order, and adding a zero term changes no bit, so the kernel is exact where it
+matters: identical vectors score exactly 0.0, swapping the two graphs changes
+no bit, and a pair scores the same bits alone as inside any stack or batch.
+
 Both classification and training code opcodes as integers. Training codes a
 whole corpus once with ``code_corpus`` and takes its vocabularies and count
 rows from that coding; ``graph_for_sequence`` codes one sample through the
@@ -126,6 +136,12 @@ class OpcodeVocabulary:
         ops = self.opcodes
         cells = zip(self.cell_rows.tolist(), self.cell_cols.tolist())
         return {(ops[row], ops[col]): slot for slot, (row, col) in enumerate(cells)}
+
+    @cached_property
+    def _row_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """First slot and slot count of each opcode row that holds a retained bigram."""
+        starts = np.flatnonzero(np.diff(self.cell_rows, prepend=-1))
+        return _read_only(starts), _read_only(np.diff(starts, append=len(self.flat_cells)))
 
     @cached_property
     def slot_of_cell(self) -> np.ndarray:
@@ -297,6 +313,11 @@ class OpcodeGraph:
         expected = vocab.flat_cells.shape
         if vector.shape != expected:
             raise ValueError(f"vector shape {vector.shape} != {expected}")
+        return cls._wrap(vocab, vector)
+
+    @classmethod
+    def _wrap(cls, vocab: OpcodeVocabulary, vector: np.ndarray) -> "OpcodeGraph":
+        """Graph holding ``vector`` itself, which becomes read-only."""
         graph = cls.__new__(cls)
         graph._set(vocab, vector)
         return graph
@@ -339,11 +360,16 @@ def retained_counts(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[np.n
     return vector, int(values[~kept].sum())
 
 
-def normalized_graph(vector: np.ndarray, vocab: OpcodeVocabulary) -> OpcodeGraph:
-    """Graph from a retained-count vector: each row divided by its own total, if any."""
-    totals = np.bincount(vocab.cell_rows, weights=vector, minlength=vocab.size)[vocab.cell_rows]
-    vector = np.divide(vector, totals, out=np.zeros(len(totals)), where=totals > 0)
-    return OpcodeGraph.from_vector(vocab, vector)
+def normalized_graphs(rows: np.ndarray, vocab: OpcodeVocabulary) -> list[OpcodeGraph]:
+    """One graph per row of retained counts: each opcode row divided by its own total, if any."""
+    rows = np.asarray(rows, dtype=float)
+    starts, lengths = vocab._row_spans
+    # the counts are integers, so every summation order gives the same exact totals
+    totals = np.add.reduceat(rows, starts, axis=1)
+    totals[totals == 0.0] = 1.0  # an opcode row with no count divides by 1 and stays zero
+    weights = np.repeat(totals, lengths, axis=1)
+    np.divide(rows, weights, out=weights)
+    return [OpcodeGraph._wrap(vocab, vector) for vector in weights]
 
 
 def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:
@@ -355,7 +381,8 @@ def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGr
     their bigram is not retained.
     """
     vector, dropped = retained_counts(counts, vocab)
-    return normalized_graph(vector, vocab), dropped
+    (graph,) = normalized_graphs([vector], vocab)
+    return graph, dropped
 
 
 def graph_for_sequence(seq: OpcodeSequence, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:
@@ -363,8 +390,8 @@ def graph_for_sequence(seq: OpcodeSequence, vocab: OpcodeVocabulary) -> tuple[Op
     codes = _vocabulary_codes(_opcodes(seq), vocab)
     slots = vocab.slot_of_cell[codes[:-1] * (vocab.size + 1) + codes[1:]]
     kept = slots[slots >= 0]
-    vector = np.bincount(kept, minlength=len(vocab.flat_cells)).astype(float)
-    return normalized_graph(vector, vocab), len(slots) - len(kept)
+    (graph,) = normalized_graphs([np.bincount(kept, minlength=len(vocab.flat_cells))], vocab)
+    return graph, len(slots) - len(kept)
 
 
 @dataclass(frozen=True)
@@ -375,14 +402,43 @@ class ScoreValue:
     similarity: float
 
 
-def scaled_l1(vectors: np.ndarray, vector: np.ndarray, vocab_size: int) -> np.ndarray:
-    """sum(|vectors - vector|) / (2V) along the last axis, clipped to [0, 1].
+def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum along the first axis one term at a time, in order.
 
-    ``vectors`` is one graph vector or a stack of them, one per row.
+    Unlike numpy's pairwise ``sum``, a zero term then changes no bit of the result.
     """
-    difference = vectors - vector
-    distances = np.abs(difference, out=difference).sum(axis=-1) / (2.0 * vocab_size)
-    return np.clip(distances, 0.0, 1.0)
+    if not len(terms):
+        return np.zeros(terms.shape[1:])
+    return terms.cumsum(axis=0)[-1]
+
+
+def graph_layout(vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Graph vectors as ``scaled_l1`` scores against them, read-only.
+
+    Returns the vectors as columns, one row per slot, and each vector's mass.
+    """
+    columns = np.stack(vectors, axis=1)
+    masses = np.array([_sequential_sum(vector) for vector in vectors])
+    return _read_only(columns), _read_only(masses)
+
+
+def scaled_l1(
+    layout: tuple[np.ndarray, np.ndarray], vector: np.ndarray, vocab_size: int
+) -> np.ndarray:
+    """sum(|stacked - vector|) / (2V) for each graph vector of a ``graph_layout``, at most 1.
+
+    Only the slots where ``vector`` is non-zero are visited (see the module
+    docstring). Rounding is monotone and each sum of minima is at most either
+    mass, so no distance falls below 0.
+    """
+    columns, masses = layout
+    slots = np.flatnonzero(vector)
+    weights = vector[slots]
+    overlap = np.minimum(columns[slots], weights[:, None])
+    distances = masses + _sequential_sum(weights)
+    distances -= 2.0 * _sequential_sum(overlap)
+    distances /= 2.0 * vocab_size
+    return np.minimum(distances, 1.0, out=distances)
 
 
 def graph_distance(a: OpcodeGraph, b: OpcodeGraph) -> ScoreValue:
@@ -393,5 +449,5 @@ def graph_distance(a: OpcodeGraph, b: OpcodeGraph) -> ScoreValue:
     """
     if not same_vocabulary(a.vocab, b.vocab):
         raise VocabularyMismatchError("graphs use different vocabularies")
-    distance = float(scaled_l1(a.vector, b.vector, a.vocab.size))
+    distance = float(scaled_l1(graph_layout([a.vector]), b.vector, a.vocab.size)[0])
     return ScoreValue(distance, 1.0 - distance)

@@ -36,7 +36,8 @@ from .opgraph import (
     OpcodeGraph,
     OpcodeVocabulary,
     code_corpus,
-    normalized_graph,
+    graph_layout,
+    normalized_graphs,
     same_vocabulary,
 )
 
@@ -81,11 +82,9 @@ class SignatureDatabase:
                 raise ValueError(f"signature {sig.signature_id!r} uses a different vocabulary")
 
     @cached_property
-    def vectors(self) -> np.ndarray:
-        """Read-only stack of every signature's graph vector, in signature order."""
-        stack = np.stack([sig.graph.vector for sig in self.signatures])
-        stack.setflags(write=False)
-        return stack
+    def layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every signature's graph vector as ``scaled_l1`` reads them, in signature order."""
+        return graph_layout([sig.graph.vector for sig in self.signatures])
 
     @property
     def class_labels(self) -> tuple[str, ...]:
@@ -125,7 +124,7 @@ def build_signature(
     rows: np.ndarray, vocab: OpcodeVocabulary, label: str, round_tag: str, ordinal: int
 ) -> Signature:
     """The signature of a group whose members' retained counts are ``rows``."""
-    graph = normalized_graph(rows.sum(axis=0), vocab)
+    (graph,) = normalized_graphs([rows.sum(axis=0)], vocab)
     return Signature(f"{label}/{round_tag}/{ordinal}", label, graph, len(rows), round_tag)
 
 
@@ -272,7 +271,8 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
     ``"V-1"``, so each key names one index and no cell can be listed twice.
     The cells of all signatures are then checked and placed in one vectorized
     step: each listed cell must be a retained bigram with a weight in (0, 1],
-    and every row of every signature must sum to 0 or 1.
+    every row of every signature must sum to 0 or 1, and every signature must
+    carry some weight.
     """
     size = vocab.size
     lookup = {str(i): i for i in range(size)}.__getitem__
@@ -302,6 +302,9 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
     )
     if not np.all((row_sums == 0.0) | (np.abs(row_sums - 1.0) <= 1e-9)):
         raise DatabaseFormatError("a row's weights do not sum to 0 or 1")
+    weightless = np.flatnonzero(~vectors.any(axis=1))
+    if len(weightless):  # it would sit nearest to every short sample
+        raise DatabaseFormatError(f"signature {entries[weightless[0]]['id']!r} has no weight")
     return vectors
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,24 @@ class TestDomainErrors:
         assert "error:" in err
         assert "retain_fraction must be in (0, 1], got 5.0" in err
         assert "Traceback" not in err
+
+    def test_classify_db_with_weightless_signature_exits_1(self, tmp_path, capsys):
+        saved = Path(__file__).parent / "data" / "saved_v1.sigdb.json"
+        doc = json.loads(saved.read_text())
+        doc["signatures"][0]["rows"] = {}
+        del doc["checksum"]
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        db_path = tmp_path / "weightless.sigdb.json"
+        db_path.write_text(json.dumps(doc))
+        sample = tmp_path / "s.ops"
+        sample.write_text("mov\npush\n")
+        assert dispatch(["classify", "--db", str(db_path), "--input", str(sample)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert "signature 'benign/r1/0' has no weight" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_classify_sample_without_retained_bigram_exits_1(self, tiny_corpus, tmp_path, capsys):
         db_path = tmp_path / "tiny.sigdb.json"

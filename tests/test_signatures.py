@@ -493,6 +493,14 @@ class TestLoadValidity:
         with pytest.raises(DatabaseFormatError, match=r"duplicate opcodes"):
             load_database(path)
 
+    def test_signature_without_weight_rejected(self, tmp_path):
+        path = tmp_path / "weightless.sigdb.json"
+        doc = json.loads((DATA / "saved_v1.sigdb.json").read_text())
+        doc["signatures"][1]["rows"] = {}
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"signature 'famA/r2/0' has no weight"):
+            load_database(path)
+
     def test_duplicate_signature_id_rejected(self, saved):
         path, doc, _ = saved
         doc["signatures"][1]["id"] = doc["signatures"][0]["id"]

@@ -2,6 +2,7 @@
 
 Vocabularies are random, with a retained set that is a strict subset of the
 V x V cells, so every property also exercises cells a graph may not use.
+Random count maps may retain no bigram, so graphs are often all zero.
 """
 
 import tempfile
@@ -12,11 +13,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opsig.classifier import classify, classify_batch
+from opsig.clusterer import compute_distance_matrix
 from opsig.errors import EmptyGraphError
-from opsig.opgraph import BigramCounts, OpcodeGraph, OpcodeVocabulary, build_graph, graph_distance
+from opsig.opgraph import (
+    BigramCounts,
+    OpcodeGraph,
+    OpcodeVocabulary,
+    build_graph,
+    graph_distance,
+    graph_layout,
+    scaled_l1,
+)
 from opsig.signatures import Signature, SignatureDatabase, load_database, save_database
 
-from helpers import naive_graph_distance
+from helpers import make_vocab, naive_graph_distance, random_graph
 
 OPCODES = tuple(f"OP{i}" for i in range(6))
 FOREIGN = ("XX", "YY")  # opcodes outside every vocabulary
@@ -44,6 +54,20 @@ def graphs(draw, n):
     """A vocabulary and ``n`` graphs built on it from random counts."""
     vocab = draw(vocabularies())
     return vocab, [build_graph(draw(count_maps(vocab)), vocab)[0] for _ in range(n)]
+
+
+@st.composite
+def weighted_graphs(draw, n):
+    """A vocabulary and ``n`` graphs on it, each with weight on some retained bigram."""
+    vocab = draw(vocabularies())
+    retained = sorted(vocab.retained_bigrams)
+    built = []
+    for _ in range(n):
+        counts = dict(draw(count_maps(vocab)).counts)
+        bigram = draw(st.sampled_from(retained))
+        counts[bigram] = counts.get(bigram, 0) + 1
+        built.append(build_graph(BigramCounts(counts, sum(counts.values())), vocab)[0])
+    return vocab, built
 
 
 def naive_dense_graph(counts, vocab):
@@ -141,8 +165,93 @@ def test_classify_batch_equals_single_classify(data):
                 classify(graph, db, sample_id)
 
 
+@st.composite
+def dense_graphs(draw, n):
+    """A full vocabulary of up to 12 opcodes and ``n`` random graphs, some rows all zero.
+
+    Their many inexact weights make the order in which a sum adds them show in its bits.
+    """
+    vocab = make_vocab(draw(st.integers(2, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return vocab, [random_graph(vocab, rng, zero_row_prob=0.3) for _ in range(n)]
+
+
+@st.composite
+def stack_and_queries(draw):
+    """A vocabulary, a stack of graphs and query graphs, each side with an all-zero graph."""
+    n = draw(st.integers(2, 9))
+    vocab, built = draw(st.one_of(graphs(n), dense_graphs(n)))
+    zero = OpcodeGraph.from_vector(vocab, np.zeros(len(vocab.flat_cells)))
+    split = draw(st.integers(1, len(built) - 1))
+    return vocab, [*built[:split], zero], [zero, *built[split:]]
+
+
+def kernel(stack, query):
+    return scaled_l1(graph_layout([g.vector for g in stack]), query.vector, query.vocab.size)
+
+
 @PROPERTY
-@given(graphs(3))
+@given(stack_and_queries())
+def test_kernel_matches_naive_oracle_over_a_stack(case):
+    _, stack, queries = case
+    for query in queries:
+        for graph, distance in zip(stack, kernel(stack, query).tolist()):
+            assert abs(distance - naive_graph_distance(graph, query)) <= 1e-12
+            assert 0.0 <= distance <= 1.0
+
+
+@PROPERTY
+@given(stack_and_queries())
+def test_kernel_is_exactly_zero_on_equal_vectors(case):
+    _, stack, queries = case
+    for graph in stack + queries:
+        copy = OpcodeGraph.from_vector(graph.vocab, graph.vector)
+        assert kernel([graph], copy)[0] == 0.0
+        for other, distance in zip(stack, kernel(stack, graph).tolist()):
+            if np.array_equal(other.vector, graph.vector):
+                assert distance == 0.0
+
+
+@PROPERTY
+@given(stack_and_queries())
+def test_kernel_is_bit_symmetric_and_the_same_alone_as_in_a_stack(case):
+    _, stack, queries = case
+    for query in queries:
+        for graph, distance in zip(stack, kernel(stack, query).tolist()):
+            assert distance == kernel([graph], query)[0]
+            assert distance == kernel([query], graph)[0]
+            assert distance == graph_distance(graph, query).distance
+            assert distance == graph_distance(query, graph).distance
+
+
+@PROPERTY
+@given(stack_and_queries())
+def test_batch_ranking_distances_equal_pairwise_distances(case):
+    vocab, stack, queries = case
+    signatures = tuple(
+        Signature(f"f/r1/{i}", "f", g, 1, "r1") for i, g in enumerate(stack)
+    )
+    db = SignatureDatabase(vocab, signatures, {})
+    items = [(f"s{i}", g) for i, g in enumerate(queries) if g.vector.any()]
+    by_id = {sig.signature_id: sig.graph for sig in db.signatures}
+    for (_, query), prediction in zip(items, classify_batch(items, db)):
+        for signature_id, distance in prediction.ranking:
+            assert distance == graph_distance(by_id[signature_id], query).distance
+
+
+@PROPERTY
+@given(stack_and_queries())
+def test_distance_matrix_cells_equal_graph_distance(case):
+    _, stack, queries = case
+    built = stack + queries
+    values = compute_distance_matrix([(str(i), g) for i, g in enumerate(built)]).values
+    for i, a in enumerate(built):
+        for j, b in enumerate(built):
+            assert values[i, j] == graph_distance(a, b).distance
+
+
+@PROPERTY
+@given(weighted_graphs(3))
 def test_database_round_trip_preserves_vectors(case):
     vocab, sig_graphs = case
     signatures = tuple(

@@ -6,6 +6,8 @@ they were a single sample: ``build_database``, the one way to make them (with
 retained-count rows and row-normalises the sum. The database
 bundles all per-class signatures with the shared vocabulary and is stored as
 a single versioned, checksummed JSON document with deterministic byte layout.
+A file in that layout loads with one JSON decode: its checksum is checked over
+the very bytes that are decoded, so the payload is never re-encoded.
 """
 
 from __future__ import annotations
@@ -325,9 +327,24 @@ def _all_typed(values: list, kind: type, name: str) -> list:
 
 
 def load_database(path: str | Path) -> SignatureDatabase:
-    """Load a database file, verifying version, checksum and validity."""
+    """Load a database file, verifying version, checksum and validity.
+
+    A file as ``save_database`` writes it is decoded once: with its JSON
+    whitespace deleted it reads ``{"checksum":"<hex>",`` followed by the rest
+    of the canonical text the checksum was taken over, so the checksum is
+    checked over exactly the bytes that are then decoded, and whitespace
+    counts as layout even inside a string. Any other file (a string holding
+    a space, another layout or key order, an edit) is decoded whole and its
+    payload re-encoded canonically to check the checksum. Either way the
+    version is checked right after decoding, then the document's validity.
+    """
+    stored = Path(path).read_bytes()
+    compact = stored.translate(None, b" \t\n\r")
+    signed = b"{" + compact[79:]  # 79 = len('{"checksum":"<64 hex digits>",')
+    digest = hashlib.sha256(signed).hexdigest().encode("ascii")
+    verified = compact[:79] == b'{"checksum":"%s",' % digest
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads((signed if verified else stored).decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise DatabaseFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # a JSON syntax error, or an integer past Python's digit limit
@@ -343,13 +360,14 @@ def load_database(path: str | Path) -> SignatureDatabase:
         raise UnsupportedVersionError(
             f"{path}: unsupported database version {data['version']!r}"
         )
-    checksum = data.get("checksum")
-    if not isinstance(checksum, str):
-        raise DatabaseFormatError(f"{path}: missing checksum field")
-    payload = {key: value for key, value in data.items() if key != "checksum"}
-    actual = hashlib.sha256(_canonical_text(payload).encode("utf-8")).hexdigest()
-    if actual != checksum:
-        raise ChecksumMismatchError(f"{path}: checksum mismatch")
+    if not verified:
+        checksum = data.get("checksum")
+        if not isinstance(checksum, str):
+            raise DatabaseFormatError(f"{path}: missing checksum field")
+        payload = {key: value for key, value in data.items() if key != "checksum"}
+        actual = hashlib.sha256(_canonical_text(payload).encode("utf-8")).hexdigest()
+        if actual != checksum:
+            raise ChecksumMismatchError(f"{path}: checksum mismatch")
     try:
         vocab_doc = data["vocabulary"]
         opcodes = tuple(

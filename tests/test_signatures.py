@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from opsig.errors import (
     EmptySampleError,
     UnsupportedVersionError,
 )
+from opsig import signatures
 from opsig.classifier import classify
 from opsig.ingest import OpcodeSequence
 from opsig.opgraph import build_graph, count_bigrams, graph_for_sequence, merge_counts
@@ -326,6 +328,111 @@ class TestSaveLoad:
         assert loaded == build_database(validity_corpus(), retain_fraction=0.9)
         save_database(loaded, tmp_path / "again.sigdb.json")
         assert (tmp_path / "again.sigdb.json").read_bytes() == saved.read_bytes()
+
+
+def _signed(payload):
+    """A document whose checksum is taken over the JSON bytes ``payload``, laid out compactly."""
+    sha = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return b'{"checksum":"' + sha + b'",' + payload[1:]
+
+
+def _no_reencoding(payload):
+    raise AssertionError("the payload was re-encoded")
+
+
+class TestLoadPaths:
+    """A file as the saver writes it is decoded once; any other one by re-encoding its payload."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        db = build_database(validity_corpus(), retain_fraction=0.9)
+        path = tmp_path / "s.sigdb.json"
+        save_database(db, path)
+        return path, db
+
+    def test_saved_database_loads_without_reencoding(self, saved, monkeypatch):
+        path, db = saved
+        monkeypatch.setattr(signatures, "_canonical_text", _no_reencoding)
+        assert load_database(path) == db
+
+    def test_crlf_copy_loads_without_reencoding(self, saved, monkeypatch):
+        path, db = saved
+        crlf = path.with_name("crlf.sigdb.json")
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        monkeypatch.setattr(signatures, "_canonical_text", _no_reencoding)
+        assert load_database(crlf) == db
+
+    def test_label_with_space_loads_through_reencoding(self, tmp_path, monkeypatch):
+        spaced = {"benign": "benign", "famA": "fam 00", "famB": "fam 01"}
+        corpus = [OpcodeSequence(s.sample_id, s.opcodes, spaced[s.label]) for s in validity_corpus()]
+        db = build_database(corpus, retain_fraction=0.9)
+        first, second = tmp_path / "one.sigdb.json", tmp_path / "two.sigdb.json"
+        save_database(db, first)
+        encoded = []
+        canonical_text = signatures._canonical_text
+
+        def counted(payload):
+            encoded.append(payload)
+            return canonical_text(payload)
+
+        monkeypatch.setattr(signatures, "_canonical_text", counted)
+        loaded = load_database(first)
+        assert encoded and loaded == db
+        save_database(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_weight_edited_in_place_fails_checksum(self, saved):
+        path, _ = saved
+        stored = path.read_bytes()
+        weight = re.search(rb'"[0-9]+": 0\.([0-9])', stored)  # a row-map cell, not metadata
+        digit = b"%d" % ((int(weight.group(1)) + 1) % 10)
+        path.write_bytes(stored[: weight.start(1)] + digit + stored[weight.end(1) :])
+        with pytest.raises(ChecksumMismatchError):
+            load_database(path)
+
+    @pytest.mark.parametrize(
+        "payload, error, message",
+        [
+            (b'{"label":"\xff","version":1}', DatabaseFormatError, r"p\.sigdb\.json: not UTF-8 text"),
+            (b'{"version":1,', DatabaseFormatError, r"p\.sigdb\.json: cannot decode JSON"),
+            (b'{"version":2}', UnsupportedVersionError, r"unsupported database version 2"),
+        ],
+    )
+    def test_signed_payload_errors(self, tmp_path, payload, error, message):
+        path = tmp_path / "p.sigdb.json"
+        path.write_bytes(_signed(payload))
+        with pytest.raises(error, match=message):
+            load_database(path)
+
+
+_AWKWARD_NAMES = st.lists(
+    st.sampled_from(("a", "Z", " ", "\t", '": ', '"', "\\")), min_size=1, max_size=4
+).map("".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_AWKWARD_NAMES, min_size=2, max_size=4, unique=True),
+    st.lists(_AWKWARD_NAMES, min_size=1, max_size=3, unique=True),
+    st.data(),
+)
+def test_awkward_names_round_trip(tmp_path_factory, opcodes, labels, data):
+    # a space inside a string sends the file down the re-encoding path; tabs, quotes and
+    # backslashes are escaped in the saved text, so names holding only those load in one decode
+    sequences = st.lists(st.sampled_from(opcodes), min_size=2, max_size=12).map(tuple)
+    corpus = [
+        OpcodeSequence(f"{c}-{i}", ops, label)
+        for c, label in enumerate(labels)
+        for i, ops in enumerate(data.draw(st.lists(sequences, min_size=1, max_size=3)))
+    ]
+    db = build_database(corpus, retain_fraction=1.0)
+    first = tmp_path_factory.getbasetemp() / "awkward.sigdb.json"
+    second = first.with_name("awkward-again.sigdb.json")
+    save_database(db, first)
+    loaded = load_database(first)
+    assert loaded == db
+    save_database(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 class TestDatabaseValidation:

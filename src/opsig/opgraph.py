@@ -24,16 +24,19 @@ Both classification and training code opcodes as integers. Training codes a
 whole corpus once with ``code_corpus`` and takes its vocabularies and count
 rows from that coding; ``graph_for_sequence`` codes one sample through the
 vocabulary's cell table, ``slot_of_cell``. ``count_bigrams`` and
-``build_graph`` are the same counts and graphs as dicts keyed by bigram.
+``build_graph`` are the same counts and graphs as dicts keyed by bigram;
+``count_bigrams`` codes one sample's opcodes in order of first appearance
+and counts its pair codes with one ``np.unique``. A count dict's key order
+is not part of its contract.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,9 +57,13 @@ class BigramCounts:
     total: int
 
     def __post_init__(self) -> None:
-        if self.total != sum(self.counts.values()):
+        values = self.counts.values()
+        # exact types, so a float is not truncated later and a bool is no count
+        if set(map(type, values)) - {int} or type(self.total) is not int:
+            raise ValueError("bigram counts and their total must be int")
+        if self.total != sum(values):
             raise ValueError("total does not match the sum of bigram counts")
-        if any(count < 1 for count in self.counts.values()):
+        if min(values, default=1) < 1:
             raise ValueError("bigram counts must be >= 1")
 
 
@@ -68,10 +75,23 @@ def _opcodes(seq: OpcodeSequence) -> tuple[str, ...]:
 
 
 def count_bigrams(seq: OpcodeSequence) -> BigramCounts:
-    """Count adjacent opcode pairs; a sequence of length L has L - 1 of them."""
+    """Count adjacent opcode pairs; a sequence of length L has L - 1 of them.
+
+    Opcodes are coded as integers in order of first appearance, and the pair
+    ids ``first * width + second`` (width: the sample's distinct opcodes) are
+    counted with one ``np.unique``, so a key tuple is built per distinct pair,
+    not per occurrence. Keys and counts are those of
+    ``Counter(zip(opcodes, opcodes[1:]))``; the dict's key order is not part
+    of the result.
+    """
     opcodes = _opcodes(seq)
-    pairs = Counter(zip(opcodes, opcodes[1:]))
-    return BigramCounts(dict(pairs), sum(pairs.values()))
+    code = defaultdict(count().__next__)
+    codes = np.fromiter(map(code.__getitem__, opcodes), np.int64, len(opcodes))
+    names, width = list(code), len(code)
+    pair_ids, counts = np.unique(codes[:-1] * width + codes[1:], return_counts=True)
+    firsts, seconds = np.divmod(pair_ids, width)
+    pairs = zip(map(names.__getitem__, firsts.tolist()), map(names.__getitem__, seconds.tolist()))
+    return BigramCounts(dict(zip(pairs, counts.tolist())), len(opcodes) - 1)
 
 
 def merge_counts(parts: Iterable[BigramCounts]) -> BigramCounts:

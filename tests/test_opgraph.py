@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -63,6 +65,68 @@ class TestCountBigrams:
             length = int(rng.integers(1, 60))
             seq = OpcodeSequence("s", tuple(rng.choice(names) for _ in range(length)))
             assert count_bigrams(seq).total == length - 1
+
+    def test_distinct_opcodes_allocate_no_square_grid(self):
+        # 3,000 distinct opcodes: a width x width int64 grid of pair counts would take 72 MB
+        opcodes = tuple(f"OP{i:04d}" for i in range(3000)) + ("OP0000",)
+        seq = OpcodeSequence("s", opcodes)
+        tracemalloc.start()
+        try:
+            counts = count_bigrams(seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(counts.counts) == 3000 and counts.total == 3000
+        assert set(counts.counts.values()) == {1}
+        assert peak < 8_000_000
+
+
+@st.composite
+def opcode_lists(draw):
+    """Opcode lists over 1-6 names, one opcode long or longer.
+
+    Each occurrence is the name itself, an equal string built anew (a distinct
+    object) or an ``np.str_``, so counting must go by string value alone.
+    """
+    names = draw(
+        st.lists(st.sampled_from(("ADD", "CALL", "JMP", "MOV", "POP", "PUSH", "RET")),
+                 min_size=1, max_size=6, unique=True)
+    )
+    length = draw(st.one_of(st.just(1), st.integers(2, 40)))
+    picks = draw(st.lists(st.sampled_from(names), min_size=length, max_size=length))
+    forms = (str, lambda name: "".join(name), np.str_)
+    return [draw(st.sampled_from(forms))(name) for name in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(opcode_lists())
+def test_count_bigrams_matches_counter_oracle(opcodes):
+    reference = BigramCounts(dict(Counter(zip(opcodes, opcodes[1:]))), len(opcodes) - 1)
+    counts = count_bigrams(OpcodeSequence("s", tuple(opcodes)))
+    assert counts == reference
+    assert all(type(value) is int for value in counts.counts.values())
+
+
+class TestBigramCountsValidation:
+    def test_float_count_rejected(self):
+        # 1.5 would be truncated to 1 when the graph is built: [0.5, 0.5], not [0.6, 0.4]
+        with pytest.raises(ValueError, match="int"):
+            BigramCounts({("A", "B"): 1.5, ("A", "F"): 1}, 2.5)
+        # ... and ranked after truncation by build_vocabulary
+        with pytest.raises(ValueError, match="int"):
+            BigramCounts({("A", "B"): 1.5, ("C", "D"): 1.6, ("E", "F"): 3.0}, 6.1)
+
+    def test_bool_count_rejected(self):
+        with pytest.raises(ValueError, match="int"):
+            BigramCounts({("A", "B"): True}, 1)
+
+    def test_float_total_rejected(self):
+        with pytest.raises(ValueError, match="int"):
+            BigramCounts({("A", "B"): 2}, 2.0)
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            BigramCounts({("A", "B"): 2, ("B", "A"): 0}, 2)
 
 
 class TestMergeCounts:

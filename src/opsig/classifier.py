@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .csvtext import csv_text
 from .errors import EmptyDatabaseError, EmptyGraphError, OpsigError, VocabularyMismatchError
 from .ingest import BENIGN_LABEL
 from .opgraph import OpcodeGraph, same_vocabulary, scaled_l1
@@ -27,10 +28,9 @@ class Prediction:
     ranking: tuple[tuple[str, float], ...]
 
     def to_row(self) -> str:
-        return (
-            f"{self.sample_id},{self.predicted_label},"
-            f"{self.best_signature_id},{self.best_distance!r}"
-        )
+        fields = (self.sample_id, self.predicted_label, self.best_signature_id,
+                  repr(self.best_distance))
+        return csv_text([fields])[:-1]
 
     def to_json_dict(self) -> dict[str, object]:
         return {

@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .csvtext import csv_text
 from .errors import UnknownSampleError, VocabularyMismatchError
 from .opgraph import (
     OpcodeGraph,
@@ -228,10 +229,10 @@ def cluster_report_csv(
     """CSV of each family's counts under each eps value alone, then the whole ``schedule``."""
     eps_values = validate_eps_schedule(schedule)
     settings = [(f"{eps:g}", (eps,)) for eps in eps_values] + [("proposed", eps_values)]
-    lines = ["eps_setting,family,samples,clusters,unclustered"]
+    rows = [("eps_setting", "family", "samples", "clusters", "unclustered")]
     for setting, rounds in settings:
         for family in sorted(matrices):
             found = multi_round_cluster(matrices[family], rounds, min_pts, family=family)
-            counts = (found.sample_count, found.cluster_count, found.unclustered_count)
-            lines.append(",".join(map(str, (setting, family, *counts))))
-    return "\n".join(lines) + "\n"
+            rows.append((setting, family, found.sample_count, found.cluster_count,
+                         found.unclustered_count))
+    return csv_text(rows)

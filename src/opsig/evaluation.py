@@ -17,6 +17,7 @@ import numpy as np
 
 from .classifier import classify_batch
 from .clusterer import DEFAULT_EPS_SCHEDULE, DEFAULT_MIN_PTS, compute_distance_matrix
+from .csvtext import csv_text
 from .errors import (
     EmptyCorpusError,
     EmptyGraphError,
@@ -119,10 +120,10 @@ class ConfusionMatrix:
         return float(self.counts[row, row]) / row_sum
 
     def to_csv(self) -> str:
-        lines = ["true/predicted," + ",".join(self.labels)]
+        rows = [("true/predicted", *self.labels)]
         for row, label in enumerate(self.labels):
-            lines.append(label + "," + ",".join(str(int(c)) for c in self.counts[row]))
-        return "\n".join(lines) + "\n"
+            rows.append((label, *map(int, self.counts[row])))
+        return csv_text(rows)
 
 
 def binary_from_multiclass(matrix: ConfusionMatrix) -> ConfusionMatrix:
@@ -159,13 +160,15 @@ class MetricsReport:
         return cls(per_class, macro, binary_tpr, binary_fpr)
 
     def to_csv(self) -> str:
-        lines = ["metric,value"]
-        lines.append(f"macro_tpr,{self.macro_tpr:.6f}")
-        lines.append(f"binary_tpr,{self.binary_tpr:.6f}")
-        lines.append(f"binary_fpr,{self.binary_fpr:.6f}")
+        rows = [
+            ("metric", "value"),
+            ("macro_tpr", f"{self.macro_tpr:.6f}"),
+            ("binary_tpr", f"{self.binary_tpr:.6f}"),
+            ("binary_fpr", f"{self.binary_fpr:.6f}"),
+        ]
         for label in sorted(self.per_class_tpr):
-            lines.append(f"tpr_{label},{self.per_class_tpr[label]:.6f}")
-        return "\n".join(lines) + "\n"
+            rows.append((f"tpr_{label}", f"{self.per_class_tpr[label]:.6f}"))
+        return csv_text(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,14 +246,14 @@ class SimilarityTable:
     values: np.ndarray  # similarity = 1 - distance; diagonal is nan
 
     def to_csv(self) -> str:
-        lines = ["family," + ",".join(self.labels)]
+        rows = [("family", *self.labels)]
         for row, label in enumerate(self.labels):
             cells = [
                 "-" if row == col else f"{self.values[row, col]:.3f}"
                 for col in range(len(self.labels))
             ]
-            lines.append(label + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+            rows.append((label, *cells))
+        return csv_text(rows)
 
 
 def family_similarity_table(db: SignatureDatabase) -> SimilarityTable:

@@ -2,7 +2,8 @@
 
 Two input shapes are supported: a mnemonic-per-line text format used for
 corpus storage, and linear disassembly listings whose instruction lines look
-like ``<addr>: <hex bytes> <mnemonic> [operands]``.
+like ``<addr>: <hex bytes> <mnemonic> [operands]``. A loaded corpus keeps one
+string per distinct opcode, shared by every sample that holds it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,22 @@ def normalize_mnemonic(token: str) -> str:
     return text.upper()
 
 
+def _mnemonics(text: str, sample_id: str) -> list[str]:
+    """``parse_mnemonic_lines``'s opcodes, as a list of the strings that parsing made."""
+    upper = text.upper()
+    fields = upper.split()
+    if fields and _COMMENT_PREFIX not in upper and upper.removesuffix("\n") == "\n".join(fields):
+        return fields
+    kept = [line for line in map(str.strip, text.splitlines())
+            if line and not line.startswith(_COMMENT_PREFIX)]
+    if not kept:
+        raise EmptySampleError(f"no opcodes parsed for sample {sample_id!r}")
+    if len(" ".join(kept).split()) != len(kept):
+        for line in kept:
+            normalize_mnemonic(line)
+    return list(map(str.upper, kept))
+
+
 def parse_mnemonic_lines(text: str, sample_id: str, label: str | None = None) -> OpcodeSequence:
     """Parse one opcode per non-blank, non-comment line, in file order.
 
@@ -61,18 +78,7 @@ def parse_mnemonic_lines(text: str, sample_id: str, label: str | None = None) ->
     fails the check goes through ``normalize_mnemonic`` line by line, so the
     first bad line raises.
     """
-    upper = text.upper()
-    fields = upper.split()
-    if fields and _COMMENT_PREFIX not in upper and upper.removesuffix("\n") == "\n".join(fields):
-        return OpcodeSequence(sample_id, tuple(fields), label)
-    kept = [line for line in map(str.strip, text.splitlines())
-            if line and not line.startswith(_COMMENT_PREFIX)]
-    if not kept:
-        raise EmptySampleError(f"no opcodes parsed for sample {sample_id!r}")
-    if len(" ".join(kept).split()) != len(kept):
-        for line in kept:
-            normalize_mnemonic(line)
-    return OpcodeSequence(sample_id, tuple(map(str.upper, kept)), label)
+    return OpcodeSequence(sample_id, tuple(_mnemonics(text, sample_id)), label)
 
 
 def format_mnemonic_lines(seq: OpcodeSequence) -> str:
@@ -127,13 +133,17 @@ def load_corpus(root: str | Path) -> list[OpcodeSequence]:
     """Read a ``<root>/<label>/<sample_id>.ops`` corpus tree.
 
     Samples are returned sorted by label then sample id; sample ids must be
-    unique across the whole tree.
+    unique across the whole tree. The corpus keeps one string per distinct
+    opcode: each parsed mnemonic is mapped through a table local to this call,
+    so every sample's tuple holds the first instance of each opcode and the
+    strings that parsing made are freed as loading goes on.
     """
     root = Path(root)
     if not root.is_dir():
         raise EmptyCorpusError(f"corpus root {root} is not a directory")
     samples = []
     seen: dict[str, str] = {}
+    table: dict[str, str] = {}
     for label_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         label = label_dir.name
         for ops_file in sorted(label_dir.glob(f"*{OPS_SUFFIX}")):
@@ -143,7 +153,8 @@ def load_corpus(root: str | Path) -> list[OpcodeSequence]:
                     f"duplicate sample id {sample_id!r} in {label!r} and {seen[sample_id]!r}"
                 )
             seen[sample_id] = label
-            samples.append(parse_mnemonic_lines(_read_sample_text(ops_file), sample_id, label))
+            ops = _mnemonics(_read_sample_text(ops_file), sample_id)
+            samples.append(OpcodeSequence(sample_id, tuple(map(table.setdefault, ops, ops)), label))
     if not samples:
         raise EmptyCorpusError(f"no samples found under {root}")
     return samples

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -249,6 +252,16 @@ class TestPredictionOutput:
         db = db_from_graphs([("famA/r1/0", "famA", target)], vocab)
         pred = classify(target, db, "sample-1")
         assert pred.to_row() == "sample-1,famA,famA/r1/0,0.0"
+
+    def test_row_quotes_csv_syntax(self):
+        rng = np.random.default_rng(12)
+        vocab = make_vocab(4)
+        target = random_graph(vocab, rng)
+        db = db_from_graphs([("fam,a/r1/0", "fam,a", target)], vocab)
+        row = classify(target, db, 'x,"y"\r').to_row()
+        assert list(csv.reader(io.StringIO(row, newline=""))) == [
+            ['x,"y"\r', "fam,a", "fam,a/r1/0", "0.0"]
+        ]
 
     def test_json_dict_ranking(self):
         rng = np.random.default_rng(13)

@@ -1,5 +1,8 @@
+import csv
 import hashlib
+import io
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -289,3 +292,64 @@ class TestSynth:
         assert manifest["config"]["seed"] == 3
         ops_files = list(out.glob("*/*.ops"))
         assert len(ops_files) == 6 * 3 * 40 + 200
+
+
+def _csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+class TestCsvQuoting:
+    """Labels and sample ids holding CSV syntax come back from every CSV output intact."""
+
+    LABELS = ["benign", 'fam"b', "fam,a"]
+
+    @pytest.fixture(scope="class")
+    def awkward_corpus(self, tiny_corpus, tmp_path_factory):
+        root = tmp_path_factory.mktemp("awkward") / "corpus"
+        shutil.copytree(tiny_corpus, root)
+        (root / "fam00").rename(root / "fam,a")
+        (root / "fam01").rename(root / 'fam"b')
+        sample = sorted((root / "fam,a").glob("*.ops"))[0]
+        sample.rename(root / "fam,a" / "x,y.ops")
+        return root
+
+    def test_classify_row(self, awkward_corpus, tmp_path, capsys):
+        db_path = tmp_path / "awkward.sigdb.json"
+        assert dispatch(["train", "--corpus", str(awkward_corpus), "--db", str(db_path)]) == 0
+        capsys.readouterr()
+        sample = awkward_corpus / "fam,a" / "x,y.ops"
+        assert dispatch(["classify", "--db", str(db_path), "--input", str(sample)]) == 0
+        [row] = _csv_rows(capsys.readouterr().out)
+        assert len(row) == 4
+        assert row[:2] == ["x,y", "fam,a"]
+        assert row[2].startswith("fam,a/")
+        float(row[3])
+
+    def test_eval_reports(self, awkward_corpus, tmp_path, capsys):
+        out = tmp_path / "reports"
+        assert dispatch(["eval", "--corpus", str(awkward_corpus), "--out", str(out),
+                         "--k", "3"]) == 0
+        capsys.readouterr()
+        rundir = next(out.iterdir())
+        multiclass = _csv_rows((rundir / "multiclass_confusion.csv").read_text())
+        assert multiclass[0] == ["true/predicted", *self.LABELS]
+        assert [row[0] for row in multiclass[1:]] == self.LABELS
+        assert {len(row) for row in multiclass} == {4}
+        binary = _csv_rows((rundir / "binary_confusion.csv").read_text())
+        assert {len(row) for row in binary} == {3}
+        metrics = _csv_rows((rundir / "metrics.csv").read_text())
+        assert {len(row) for row in metrics} == {2}
+        assert [row[0] for row in metrics[-3:]] == [f"tpr_{label}" for label in self.LABELS]
+
+    def test_investigate_table(self, awkward_corpus, capsys):
+        assert dispatch(["investigate", "--corpus", str(awkward_corpus)]) == 0
+        rows = _csv_rows(capsys.readouterr().out)
+        assert rows[0] == ["family", *self.LABELS]
+        assert [row[0] for row in rows[1:]] == self.LABELS
+        assert {len(row) for row in rows} == {4}
+
+    def test_cluster_report_rows(self, awkward_corpus, capsys):
+        assert dispatch(["cluster-report", "--corpus", str(awkward_corpus)]) == 0
+        rows = _csv_rows(capsys.readouterr().out)
+        assert {len(row) for row in rows} == {5}
+        assert {row[1] for row in rows[1:]} == set(self.LABELS)

@@ -253,6 +253,10 @@ class TestClusterReport:
         text = cluster_report_csv({"fam": self._blocks(5, 3, 1, 1)}, (0.1,), 3)
         assert text.splitlines()[1:] == ["0.1,fam,10,2,2", "proposed,fam,10,2,2"]
 
+    def test_family_with_csv_syntax_quoted(self):
+        text = cluster_report_csv({"fam,a": self._blocks(2, 1)}, (0.01,), 2)
+        assert text.splitlines()[1:] == ['0.01,"fam,a",3,1,1', 'proposed,"fam,a",3,1,1']
+
     def test_all_singletons(self):
         text = cluster_report_csv({"fam": self._blocks(1, 1, 1, 1)}, (0.1,), 3)
         assert text.splitlines()[1:] == ["0.1,fam,4,0,4", "proposed,fam,4,0,4"]

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -8,6 +10,8 @@ from opsig.errors import EmptySampleError, FoldPlanError, OpsigError, Similarity
 from opsig.evaluation import (
     ConfusionMatrix,
     EvalConfig,
+    MetricsReport,
+    SimilarityTable,
     baseline_comparison,
     binary_from_multiclass,
     family_similarity_table,
@@ -298,3 +302,32 @@ class TestReportWriting:
         text = render_summary(result)
         assert "k=3 seed=4" in text
         assert "macro_tpr=" in text
+
+
+class TestCsvQuoting:
+    # a field with a comma, a quote, a carriage return or a line feed is quoted
+    LABELS = ("benign", "a,b", 'c"d', "e\rf", "g\nh", "i\r\nj")
+
+    @staticmethod
+    def _rows(text):
+        return list(csv.reader(io.StringIO(text, newline="")))
+
+    def test_confusion_matrix(self):
+        n = len(self.LABELS)
+        matrix = ConfusionMatrix(self.LABELS, np.arange(n * n, dtype=np.int64).reshape(n, n))
+        rows = self._rows(matrix.to_csv())
+        assert rows[0] == ["true/predicted", *self.LABELS]
+        assert rows[1:] == [[label, *map(str, matrix.counts[i])]
+                            for i, label in enumerate(self.LABELS)]
+
+    def test_metrics_report(self):
+        per_class = {label: 0.5 for label in self.LABELS}
+        rows = self._rows(MetricsReport(per_class, 0.5, 0.25, 0.0).to_csv())
+        assert rows[4:] == [[f"tpr_{label}", "0.500000"] for label in sorted(self.LABELS)]
+
+    def test_similarity_table(self):
+        n = len(self.LABELS)
+        rows = self._rows(SimilarityTable(self.LABELS, np.full((n, n), 0.5)).to_csv())
+        assert rows[0] == ["family", *self.LABELS]
+        assert [row[0] for row in rows[1:]] == list(self.LABELS)
+        assert {len(row) for row in rows} == {n + 1}

@@ -1,4 +1,7 @@
 import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +265,100 @@ class TestParseSampleFile:
         path.write_bytes(b"\xff\xfe")
         with pytest.raises(ParseError, match="x.ops"):
             parse_sample_file(path)
+
+
+_MNEMONICS = tuple(f"OP{i:02d}" for i in range(40))
+
+
+def _mixed_text(rng, opcodes, canonical):
+    """``opcodes`` as canonical corpus text, or lower case with comments and blank lines."""
+    if canonical:
+        return "\n".join(opcodes) + "\n"
+    lines = ["# header"]
+    for op in opcodes:
+        if rng.random() < 0.1:
+            lines.append("")
+        lines.append(f"  {op.lower()}" if rng.random() < 0.1 else op.lower())
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadedCorpusMemory:
+    @pytest.fixture(scope="class")
+    def mixed_corpus(self, tmp_path_factory):
+        """51 files of about 4,000 opcodes; every other file is not canonical."""
+        root = tmp_path_factory.mktemp("mixed")
+        rng = np.random.default_rng(5)
+        for i in range(51):
+            label = ("benign", "famA", "famB")[i % 3]
+            size = int(rng.integers(3500, 4500))
+            opcodes = [str(op) for op in rng.choice(_MNEMONICS, size=size)]
+            (root / label).mkdir(exist_ok=True)
+            (root / label / f"s{i:02d}.ops").write_text(
+                _mixed_text(rng, opcodes, canonical=i % 2 == 0), encoding="utf-8"
+            )
+        return root
+
+    def test_retained_bytes_per_opcode(self, mixed_corpus):
+        # one shared string per distinct opcode leaves a tuple slot (8 bytes) per
+        # opcode; a fresh string per opcode costs about 61
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            samples = load_corpus(mixed_corpus)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        opcodes = sum(map(len, samples))
+        assert opcodes > 150_000
+        assert retained / opcodes < 12
+
+    def test_one_string_per_distinct_opcode(self, mixed_corpus):
+        samples = load_corpus(mixed_corpus)
+        ops = [op for sample in samples for op in sample.opcodes]
+        assert len({id(op) for op in ops}) == len(set(ops)) == len(_MNEMONICS)
+
+
+def _expected_load(root, files):
+    """``parse_sample_file`` of every file in ``load_corpus`` order, or its first error."""
+    samples = []
+    for label, name in sorted(files):
+        try:
+            seq = parse_sample_file(root / label / f"{name}.ops")
+        except (ParseError, EmptySampleError) as exc:
+            return type(exc), str(exc)
+        samples.append(OpcodeSequence(seq.sample_id, seq.opcodes, label))
+    return samples
+
+
+_TREE_FILES = st.lists(
+    st.tuples(
+        st.sampled_from(["benign", "famA", "famB"]),
+        st.lists(st.sampled_from(["MOV", "PUSH", "POP", "J.NE", "OP_1"]), max_size=12),
+        st.booleans(),  # canonical text
+        st.sampled_from([None, "rep movsb", "# only a comment"]),  # an extra line
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestLoadCorpusParity:
+    @settings(max_examples=150, deadline=None)
+    @given(_TREE_FILES, st.randoms(use_true_random=False))
+    def test_equals_parse_sample_file(self, files, rng):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            names = []
+            for i, (label, opcodes, canonical, extra) in enumerate(files):
+                text = _mixed_text(rng, opcodes, canonical)
+                if extra is not None:
+                    text += extra + "\n"
+                (root / label).mkdir(exist_ok=True)
+                (root / label / f"s{i}.ops").write_text(text, encoding="utf-8")
+                names.append((label, f"s{i}"))
+            expected = _expected_load(root, names)
+            try:
+                loaded = load_corpus(root)
+            except (ParseError, EmptySampleError) as exc:
+                loaded = type(exc), str(exc)
+            assert loaded == expected

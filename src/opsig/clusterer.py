@@ -40,6 +40,8 @@ class DistanceMatrix:
         n = len(self.sample_ids)
         if self.values.shape != (n, n):
             raise ValueError(f"values shape {self.values.shape} != ({n}, {n})")
+        if len(set(self.sample_ids)) != n:
+            raise ValueError("sample ids must be unique")
         if n and not np.allclose(self.values, self.values.T, rtol=0.0, atol=1e-12):
             raise ValueError("distance matrix must be symmetric")
         if n and np.abs(np.diagonal(self.values)).max() > 1e-12:
@@ -109,10 +111,15 @@ def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int) -> np.ndarray:
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    n = len(matrix)
+    return _dbscan(matrix.values, eps, min_pts)
+
+
+def _dbscan(values: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """``dbscan`` over a square array of distances, with ``eps`` and ``min_pts`` already checked."""
+    n = len(values)
     # every point's neighbours, itself included, from one comparison: row i's
     # columns are ``columns[bounds[i]:bounds[i + 1]]``, ascending
-    points, columns = np.nonzero(matrix.values <= eps)
+    points, columns = np.nonzero(values <= eps)
     bounds = np.searchsorted(points, np.arange(n + 1)).tolist()
     columns = columns.tolist()
     core = [bounds[i + 1] - bounds[i] >= min_pts for i in range(n)]
@@ -198,26 +205,27 @@ def multi_round_cluster(
 ) -> ClusterSet:
     """Run DBSCAN per eps round over the previous round's noise points.
 
-    Round 1 clusters the full matrix; every later round clusters only what is
-    still noise, on the restricted matrix. Samples left as noise after the
-    final round become singleton groups.
+    Round 1 clusters the full matrix; every later round clusters only the
+    positions still noise, on the rows and columns of the same matrix. Each
+    round's clusters come in label order with members in matrix order. Samples
+    left as noise after the final round become singleton groups.
     """
     eps_values = validate_eps_schedule(schedule)
+    if min_pts < 1:
+        raise ValueError("min_pts must be >= 1")
+    ids = matrix.sample_ids
     groups: list[Cluster] = []
-    current = matrix
+    rest = np.arange(len(ids))  # positions still noise, ascending
     for round_index, eps in enumerate(eps_values, start=1):
-        if len(current) == 0:
+        if len(rest) == 0:
             break
-        labels = dbscan(current, eps, min_pts)
+        labels = _dbscan(matrix.values[np.ix_(rest, rest)], eps, min_pts)
         for cluster_id in range(int(labels.max()) + 1):
-            members = tuple(
-                sid for sid, lab in zip(current.sample_ids, labels) if lab == cluster_id
-            )
-            groups.append(Cluster(members, round_index, eps))
-        noise_ids = [sid for sid, lab in zip(current.sample_ids, labels) if lab == NOISE]
-        current = submatrix(current, noise_ids)
-    for sid in current.sample_ids:
-        groups.append(Cluster((sid,), None, None))
+            members = rest[labels == cluster_id].tolist()
+            groups.append(Cluster(tuple(ids[i] for i in members), round_index, eps))
+        rest = rest[labels == NOISE]
+    for i in rest.tolist():
+        groups.append(Cluster((ids[i],), None, None))
     return ClusterSet(family, tuple(groups))
 
 

@@ -3,6 +3,8 @@ import pytest
 
 from opsig.clusterer import (
     NOISE,
+    Cluster,
+    ClusterSet,
     DistanceMatrix,
     cluster_report_csv,
     compute_distance_matrix,
@@ -75,6 +77,10 @@ class TestDistanceMatrixValidation:
         values = np.array([[0.0, 1.5], [1.5, 0.0]])
         with pytest.raises(ValueError):
             DistanceMatrix(("a", "b"), values)
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            DistanceMatrix(("a", "a", "b"), np.zeros((3, 3)))
 
 
 class TestSubmatrix:
@@ -168,7 +174,53 @@ class TestValidateEpsSchedule:
             validate_eps_schedule([0.5, 1.5])
 
 
+def reference_multi_round(matrix, schedule, min_pts, family=""):
+    """Round by round: ``reference_dbscan`` on the values restricted to the last round's noise."""
+    ids = matrix.sample_ids
+    rest = list(range(len(ids)))
+    groups = []
+    for round_index, eps in enumerate(schedule, start=1):
+        if not rest:
+            break
+        values = np.array([[matrix.values[i][j] for j in rest] for i in rest])
+        labels = reference_dbscan(values, eps, min_pts)
+        for cluster in range(max(labels) + 1):
+            members = tuple(ids[p] for p, label in zip(rest, labels) if label == cluster)
+            groups.append(Cluster(members, round_index, eps))
+        rest = [p for p, label in zip(rest, labels) if label == NOISE]
+    groups += [Cluster((ids[p],), None, None) for p in rest]
+    return ClusterSet(family, tuple(groups))
+
+
 class TestMultiRoundCluster:
+    def test_matches_round_by_round_reference(self):
+        rng = np.random.default_rng(30)
+        for trial in range(120):
+            if trial % 2:
+                matrix, _ = two_scale_matrix(rng, int(rng.integers(1, 7)))
+                low, high = 0.001, 0.2
+            else:
+                matrix = random_distance_matrix(rng, int(rng.integers(2, 30)))
+                low, high = 0.02, 0.4
+            rounds = int(rng.integers(1, 5))
+            schedule = tuple(sorted(set(rng.uniform(low, high, size=rounds).tolist())))
+            min_pts = int(rng.integers(1, 6))
+            ours = multi_round_cluster(matrix, schedule, min_pts, family="f")
+            assert ours == reference_multi_round(matrix, schedule, min_pts, family="f")
+
+    @pytest.mark.parametrize("n, schedule", [(0, (0.1,)), (1, (0.1, 0.5)), (6, ())])
+    def test_edge_cases_match_reference(self, n, schedule):
+        matrix = random_distance_matrix(np.random.default_rng(31), n)
+        for min_pts in (1, 2):
+            ours = multi_round_cluster(matrix, schedule, min_pts)
+            assert ours == reference_multi_round(matrix, schedule, min_pts)
+
+    @pytest.mark.parametrize("n, schedule", [(0, (0.1,)), (3, ()), (3, (0.1,))])
+    def test_min_pts_checked_for_every_input(self, n, schedule):
+        matrix = random_distance_matrix(np.random.default_rng(32), n)
+        with pytest.raises(ValueError, match="min_pts"):
+            multi_round_cluster(matrix, schedule, min_pts=0)
+
     def test_two_scale_recovery(self):
         rng = np.random.default_rng(23)
         matrix, plant = two_scale_matrix(rng)

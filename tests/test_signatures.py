@@ -321,6 +321,14 @@ class TestSaveLoad:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "edd0b9f7b072ec52eb012ae8dd90b983fa4247d23f310661c2c53a189f3b3c91"
 
+    def test_three_round_database_bytes_pinned(self, tmp_path):
+        # seed 7 under this schedule: 19/22/20 signatures in rounds r1/r2/r3, 2 singletons
+        path = tmp_path / "three_round.sigdb.json"
+        db = build_database(generate_corpus()[0], eps_schedule=(0.005, 0.02, 0.1), min_pts=2)
+        save_database(db, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "0fea2675f3ce9b03e8eb06f5b4bd54ab8db80b97872ee08bdf12af4a0f2087ed"
+
     def test_earlier_release_database_loads_equal(self, tmp_path):
         # written by commit 52ad75e, whose loader parsed index keys as numbers
         saved = DATA / "saved_v1.sigdb.json"

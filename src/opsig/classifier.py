@@ -15,11 +15,19 @@ from .signatures import SignatureDatabase
 
 MALWARE_VERDICT = "malware"
 BENIGN_VERDICT = BENIGN_LABEL
+# signatures a prediction ranks: at least 2, so a runner-up shows whenever there is one
+RANKING_LENGTH = 5
 
 
 @dataclass(frozen=True)
 class Prediction:
-    """Outcome of matching one sample against every signature."""
+    """Outcome of matching one sample against every signature.
+
+    ``ranking`` holds the ``RANKING_LENGTH`` nearest signatures (all of them
+    when there are fewer) as ``(signature_id, distance)`` pairs, nearest
+    first, with equal distances in signature id order; the best signature is
+    its first entry.
+    """
 
     sample_id: str
     predicted_label: str
@@ -47,12 +55,13 @@ class Prediction:
 def _score(
     samples: Sequence[tuple[str, OpcodeGraph]], db: SignatureDatabase
 ) -> list[Prediction | OpsigError]:
-    """Rank every signature for every sample, with one sort over the whole batch.
+    """Rank the nearest signatures for every sample, with one sort over the whole batch.
 
-    Signatures are held in id order and the sort is stable, so equal
-    distances rank by signature id. A sample on another vocabulary gets a
-    ``VocabularyMismatchError`` in its slot, and a sample with an all-zero
-    graph an ``EmptyGraphError``.
+    Signatures are held in id order and the sort is stable, so its first
+    ``RANKING_LENGTH`` columns are the nearest signatures in (distance, id)
+    order, and only their distances are turned into Python floats. A sample
+    on another vocabulary gets a ``VocabularyMismatchError`` in its slot, and
+    a sample with an all-zero graph an ``EmptyGraphError``.
     """
     vocab, signatures = db.vocabulary, db.signatures
     results: list[Prediction | OpsigError | None] = [None] * len(samples)
@@ -66,12 +75,13 @@ def _score(
     if scored:
         layout = db.layout
         distances = np.stack([scaled_l1(layout, samples[i][1].vector, vocab.size) for i in scored])
-        orders = np.argsort(distances, axis=1, kind="stable")
-        for i, row, order in zip(scored, distances.tolist(), orders.tolist()):
-            ranking = tuple((signatures[j].signature_id, row[j]) for j in order)
+        orders = np.argsort(distances, axis=1, kind="stable")[:, :RANKING_LENGTH]
+        nearest = np.take_along_axis(distances, orders, axis=1)
+        for i, row, order in zip(scored, nearest.tolist(), orders.tolist()):
+            ranking = tuple((signatures[j].signature_id, d) for j, d in zip(order, row))
             best = signatures[order[0]]
             results[i] = Prediction(
-                samples[i][0], best.class_label, best.signature_id, row[order[0]], ranking
+                samples[i][0], best.class_label, best.signature_id, row[0], ranking
             )
     return results
 
@@ -112,6 +122,7 @@ def classify_batch(
 ) -> list[Prediction | OpsigError]:
     """Classify many samples; output order matches input order.
 
+    Each prediction ranks the ``RANKING_LENGTH`` nearest signatures.
     Per-sample domain errors are returned in place of a prediction instead of
     aborting the batch. Scoring runs on the calling thread; ``parallelism`` is
     accepted for compatibility and ignored.

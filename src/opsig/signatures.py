@@ -271,16 +271,20 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
 
     Row and column keys must be spelled as the saver writes them, ``"0"`` to
     ``"V-1"``, so each key names one index and no cell can be listed twice.
-    The cells of all signatures are then checked and placed in one vectorized
-    step: each listed cell must be a retained bigram with a weight in (0, 1],
-    every row of every signature must sum to 0 or 1, and every signature must
-    carry some weight.
+    No row map may be empty. The cells of all signatures are then checked and
+    placed in one vectorized step: each listed cell must be a retained bigram
+    with a weight in (0, 1], every row of every signature must sum to 0 or 1,
+    and every signature must carry some weight.
     """
     size = vocab.size
     lookup = {str(i): i for i in range(size)}.__getitem__
     row_maps = [entry["rows"] for entry in entries]
     rows = list(chain.from_iterable(map(dict.values, row_maps)))
     cells_per_row = list(map(len, rows))
+    row_owner = np.repeat(np.arange(len(row_maps)), list(map(len, row_maps)))
+    if 0 in cells_per_row:  # the saver writes no empty row, so it would re-save differently
+        empty = entries[row_owner[cells_per_row.index(0)]]["id"]
+        raise DatabaseFormatError(f"signature {empty!r} has an empty row map")
     try:
         row_ids = np.array(list(map(lookup, chain.from_iterable(row_maps))), dtype=np.int64)
         cols = np.array(list(map(lookup, chain.from_iterable(rows))), dtype=np.int64)
@@ -295,7 +299,6 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
     slot_ids = vocab.slot_of_cell[np.repeat(row_ids, cells_per_row) * (size + 1) + cols]
     if np.any(slot_ids < 0):
         raise DatabaseFormatError("weight on a bigram that is not retained")
-    row_owner = np.repeat(np.arange(len(row_maps)), list(map(len, row_maps)))
     owner = np.repeat(row_owner, cells_per_row)
     vectors = np.zeros((len(row_maps), len(vocab.flat_cells)))
     vectors[owner, slot_ids] = values
@@ -324,6 +327,18 @@ def _all_typed(values: list, kind: type, name: str) -> list:
         for value in values:
             _typed(value, (kind,), name)
     return values
+
+
+def _known_keys(obj: dict, keys: frozenset[str], name: str) -> dict:
+    """``obj`` if it has no key outside ``keys``; a missing key fails where it is read."""
+    if not obj.keys() <= keys:
+        raise DatabaseFormatError(f"{name} has unknown keys {sorted(obj.keys() - keys)}")
+    return obj
+
+
+_PAYLOAD_KEYS = frozenset({"version", "metadata", "vocabulary", "signatures"})
+_VOCABULARY_KEYS = frozenset({"opcodes", "retain_fraction", "retained_bigrams"})
+_ENTRY_KEYS = frozenset({"id", "label", "member_count", "round_tag", "rows"})
 
 
 def load_database(path: str | Path) -> SignatureDatabase:
@@ -360,6 +375,7 @@ def load_database(path: str | Path) -> SignatureDatabase:
         raise UnsupportedVersionError(
             f"{path}: unsupported database version {data['version']!r}"
         )
+    payload = data  # the verified bytes hold the payload alone, with no checksum key
     if not verified:
         checksum = data.get("checksum")
         if not isinstance(checksum, str):
@@ -369,7 +385,8 @@ def load_database(path: str | Path) -> SignatureDatabase:
         if actual != checksum:
             raise ChecksumMismatchError(f"{path}: checksum mismatch")
     try:
-        vocab_doc = data["vocabulary"]
+        _known_keys(payload, _PAYLOAD_KEYS, "the document")
+        vocab_doc = _known_keys(data["vocabulary"], _VOCABULARY_KEYS, "vocabulary")
         opcodes = tuple(
             _typed(op, (str,), "opcode") for op in _typed(vocab_doc["opcodes"], (list,), "opcodes")
         )
@@ -384,7 +401,7 @@ def load_database(path: str | Path) -> SignatureDatabase:
             raise DatabaseFormatError("a retained bigram is listed twice")
         retain_fraction = _typed(vocab_doc["retain_fraction"], (int, float), "retain_fraction")
         vocab = OpcodeVocabulary(opcodes, retained, float(retain_fraction))
-        entries = data["signatures"]
+        entries = [_known_keys(entry, _ENTRY_KEYS, "a signature") for entry in data["signatures"]]
         signatures = [
             Signature(
                 _typed(entry["id"], (str,), "id"),

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from opsig.classifier import classify, classify_batch, classify_binary
+from opsig.classifier import RANKING_LENGTH, classify, classify_batch, classify_binary
 from opsig.errors import (
     EmptyDatabaseError,
     EmptyGraphError,
@@ -71,6 +71,28 @@ class TestClassify:
         pred = classify(sample, db, "x")
         assert pred.best_signature_id == "afam/r1/0"
         assert pred.predicted_label == "afam"
+
+    def test_ranking_cut_inside_a_tie_keeps_the_lowest_ids(self):
+        rng = np.random.default_rng(14)
+        vocab = make_vocab(5)
+        shared = random_graph(vocab, rng)
+        ids = [f"fam{i:02d}/r1/0" for i in range(RANKING_LENGTH + 3)]
+        db = db_from_graphs([(sid, sid.split("/")[0], shared) for sid in reversed(ids)], vocab)
+        sample = random_graph(vocab, rng)
+        pred = classify(sample, db, "x")
+        distance = graph_distance(shared, sample).distance
+        assert pred.ranking == tuple((sid, distance) for sid in ids[:RANKING_LENGTH])
+
+    @pytest.mark.parametrize("count", range(1, RANKING_LENGTH + 3))
+    def test_ranking_length(self, count):
+        assert RANKING_LENGTH >= 2  # a ranking of two signatures shows the runner-up
+        rng = np.random.default_rng(15)
+        vocab = make_vocab(4)
+        db = db_from_graphs(
+            [(f"f{i}/r1/0", f"f{i}", random_graph(vocab, rng)) for i in range(count)], vocab
+        )
+        pred = classify(random_graph(vocab, rng), db, "x")
+        assert len(pred.ranking) == min(RANKING_LENGTH, count)
 
     def test_empty_database_rejected(self):
         rng = np.random.default_rng(3)

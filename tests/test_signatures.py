@@ -616,6 +616,43 @@ class TestLoadValidity:
         with pytest.raises(DatabaseFormatError, match=r"signature 'famA/r2/0' has no weight"):
             load_database(path)
 
+    @pytest.mark.parametrize("only_row", [False, True])
+    def test_empty_row_map_rejected(self, tmp_path, only_row):
+        # an empty row map adds no weight, so the signature would load and re-save without it
+        path = tmp_path / "empty-row.sigdb.json"
+        doc = json.loads((DATA / "saved_v1.sigdb.json").read_text())
+        entry = doc["signatures"][1]  # famA/r2/0, with weight on rows 2, 4 and 5
+        entry["rows"] = {"3": {}} if only_row else dict(entry["rows"], **{"0": {}})
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"'famA/r2/0' has an empty row map"):
+            load_database(path)
+
+    @pytest.mark.parametrize(
+        "where, name",
+        [((), "the document"), (("vocabulary",), "vocabulary"), (("signatures", 2), "a signature")],
+        ids=["top", "vocabulary", "signature"],
+    )
+    @pytest.mark.parametrize("sort_keys", [True, False])  # the one-decode path, then the other
+    def test_unknown_key_rejected(self, saved, where, name, sort_keys):
+        path, doc, _ = saved
+        target = doc
+        for step in where:
+            target = target[step]
+        target["note"] = "ignored"
+        _resign(path, doc, sort_keys=sort_keys)
+        with pytest.raises(DatabaseFormatError, match=rf"{name} has unknown keys \['note'\]"):
+            load_database(path)
+
+    def test_second_checksum_key_rejected(self, saved):
+        # the stored checksum signs bytes that carry a checksum key of their own
+        path, doc, _ = saved
+        del doc["checksum"]
+        signed = json.dumps(dict(doc, checksum="x"), sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(signed.encode("utf-8")).hexdigest()
+        path.write_text(f'{{"checksum":"{digest}",{signed[1:]}')
+        with pytest.raises(DatabaseFormatError, match=r"document has unknown keys \['checksum'\]"):
+            load_database(path)
+
     def test_duplicate_signature_id_rejected(self, saved):
         path, doc, _ = saved
         doc["signatures"][1]["id"] = doc["signatures"][0]["id"]

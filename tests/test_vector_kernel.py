@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opsig.classifier import classify, classify_batch
+from opsig.classifier import RANKING_LENGTH, classify, classify_batch
 from opsig.clusterer import compute_distance_matrix
 from opsig.errors import EmptyGraphError
 from opsig.opgraph import (
@@ -237,6 +237,26 @@ def test_batch_ranking_distances_equal_pairwise_distances(case):
     for (_, query), prediction in zip(items, classify_batch(items, db)):
         for signature_id, distance in prediction.ranking:
             assert distance == graph_distance(by_id[signature_id], query).distance
+
+
+@PROPERTY
+@given(st.data())
+def test_ranking_is_the_nearest_prefix_of_every_signature(data):
+    # more signatures than a ranking holds, drawn from four graphs, so the cut often splits a tie
+    count = data.draw(st.integers(RANKING_LENGTH + 1, 3 * RANKING_LENGTH))
+    vocab, pool = data.draw(st.one_of(weighted_graphs(4), dense_graphs(4)))
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+    # ids sort as strings, so "f/r1/10" ranks before "f/r1/2" on a tie
+    signatures = tuple(Signature(f"f/r1/{i}", "f", g, 1, "r1") for i, g in enumerate(picks))
+    db = SignatureDatabase(vocab, signatures, {})
+    items = [(f"s{i}", g) for i, g in enumerate(pool) if g.vector.any()]
+    for (sample_id, query), prediction in zip(items, classify_batch(items, db)):
+        every = sorted(
+            (graph_distance(sig.graph, query).distance, sig.signature_id) for sig in signatures
+        )
+        assert prediction.ranking == tuple((sid, d) for d, sid in every[:RANKING_LENGTH])
+        assert prediction.ranking[0] == (prediction.best_signature_id, prediction.best_distance)
+        assert prediction == classify(query, db, sample_id)
 
 
 @PROPERTY

@@ -55,7 +55,7 @@ class Prediction:
 def _score(
     samples: Sequence[tuple[str, OpcodeGraph]], db: SignatureDatabase
 ) -> list[Prediction | OpsigError]:
-    """Rank the nearest signatures for every sample, with one sort over the whole batch.
+    """Rank the nearest signatures for every sample: one distance table, one sort.
 
     Signatures are held in id order and the sort is stable, so its first
     ``RANKING_LENGTH`` columns are the nearest signatures in (distance, id)
@@ -73,8 +73,7 @@ def _score(
             results[i] = EmptyGraphError(f"sample {sample_id!r} has no retained bigram to match on")
     scored = [i for i, result in enumerate(results) if result is None]
     if scored:
-        layout = db.layout
-        distances = np.stack([scaled_l1(layout, samples[i][1].vector, vocab.size) for i in scored])
+        distances = scaled_l1(db.layout, [samples[i][1].vector for i in scored], vocab.size)
         orders = np.argsort(distances, axis=1, kind="stable")[:, :RANKING_LENGTH]
         nearest = np.take_along_axis(distances, orders, axis=1)
         for i, row, order in zip(scored, nearest.tolist(), orders.tolist()):

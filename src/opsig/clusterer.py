@@ -62,14 +62,9 @@ def compute_distance_matrix(graphs: Sequence[tuple[str, OpcodeGraph]]) -> Distan
     for _, graph in graphs[1:]:
         if not same_vocabulary(first.vocab, graph.vocab):
             raise VocabularyMismatchError("all graphs must share one vocabulary")
-    vectors = [graph.vector for _, graph in graphs]
-    columns, masses = graph_layout(vectors)
-    n = len(graphs)
-    values = np.zeros((n, n))
-    for i in range(n - 1):
-        row = scaled_l1((columns[:, i + 1 :], masses[i + 1 :]), vectors[i], first.vocab.size)
-        values[i, i + 1 :] = row
-        values[i + 1 :, i] = row
+    layout = graph_layout([graph.vector for _, graph in graphs])
+    values = scaled_l1(layout, None, first.vocab.size)
+    values += values.T
     return DistanceMatrix(ids, values)
 
 

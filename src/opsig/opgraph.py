@@ -15,10 +15,14 @@ distance is ``(mass(a) + mass(b) - 2 * sum(min(a, b))) / 2V``, where a mass is
 the sum of a vector's weights and the sum of minima runs over the slots where
 b is non-zero only: scoring costs follow the sample's support, not the number
 of retained bigrams. The graphs scored against are laid out once, slot-major,
-with their masses (``graph_layout``). Every sum adds one term at a time in slot
-order, and adding a zero term changes no bit, so the kernel is exact where it
-matters: identical vectors score exactly 0.0, swapping the two graphs changes
-no bit, and a pair scores the same bits alone as inside any stack or batch.
+with their masses (``graph_layout``), and each call scores a whole table of
+queries against them. Every sum adds one term at a time in slot order: a
+block of two or more columns takes one ``np.add.reduce`` over its rows, which
+numpy adds whole row by whole row, first to last, and a single column takes
+the last row of a ``cumsum``, because numpy would reduce it pairwise. Adding a
+zero term changes no bit, so the kernel is exact where it matters: identical
+vectors score exactly 0.0, swapping the two graphs changes no bit, and a pair
+scores the same bits alone as inside any table.
 
 Both classification and training code opcodes as integers. Training codes a
 whole corpus once with ``code_corpus`` and takes its vocabularies and count
@@ -426,7 +430,13 @@ def _sequential_sum(terms: np.ndarray) -> np.ndarray:
     """Sum along the first axis one term at a time, in order.
 
     Unlike numpy's pairwise ``sum``, a zero term then changes no bit of the result.
+    numpy reduces a C-ordered block of two or more columns by adding whole rows,
+    first to last, so such a block takes one ``np.add.reduce``. Along a single
+    column, or in another memory order, numpy would sum pairwise, so there the
+    last row of a ``cumsum`` is taken.
     """
+    if terms.ndim == 2 and terms.shape[1] > 1 and terms.flags.c_contiguous:
+        return np.add.reduce(terms, axis=0)
     if not len(terms):
         return np.zeros(terms.shape[1:])
     return terms.cumsum(axis=0)[-1]
@@ -438,27 +448,49 @@ def graph_layout(vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     Returns the vectors as columns, one row per slot, and each vector's mass.
     """
     columns = np.stack(vectors, axis=1)
-    masses = np.array([_sequential_sum(vector) for vector in vectors])
-    return _read_only(columns), _read_only(masses)
+    return _read_only(columns), _read_only(_sequential_sum(columns))
 
 
 def scaled_l1(
-    layout: tuple[np.ndarray, np.ndarray], vector: np.ndarray, vocab_size: int
+    layout: tuple[np.ndarray, np.ndarray],
+    queries: Sequence[np.ndarray] | None,
+    vocab_size: int,
 ) -> np.ndarray:
-    """sum(|stacked - vector|) / (2V) for each graph vector of a ``graph_layout``, at most 1.
+    """Table of sum(|graph - query|) / (2V), at most 1, against each graph of a ``graph_layout``.
 
-    Only the slots where ``vector`` is non-zero are visited (see the module
-    docstring). Rounding is monotone and each sum of minima is at most either
-    mass, so no distance falls below 0.
+    Row ``q`` scores ``queries[q]``, column ``g`` the layout's graph ``g``.
+    ``queries=None`` scores the layout's own graphs against each other: row
+    ``i`` then holds graph ``i``'s distances to the graphs after it, and every
+    cell on or below the diagonal is 0. Only the slots where a query is
+    non-zero are visited (see the module docstring). Rounding is monotone and
+    each sum of minima is at most either mass, so no distance falls below 0.
     """
     columns, masses = layout
-    slots = np.flatnonzero(vector)
-    weights = vector[slots]
-    overlap = np.minimum(columns[slots], weights[:, None])
-    distances = masses + _sequential_sum(weights)
-    distances -= 2.0 * _sequential_sum(overlap)
+    if queries is None:  # every support from one nonzero, every mass from the layout
+        owners, cells = np.nonzero(columns.T)
+        values = columns[cells, owners]
+        bounds = np.searchsorted(owners, np.arange(len(masses) + 1)).tolist()
+        query_masses = masses
+    else:
+        query_masses = np.empty(len(queries))
+    overlaps = np.zeros((len(query_masses), len(masses)))
+    for q, row in enumerate(overlaps):
+        if queries is None:  # graph q against the graphs after it
+            start, support = q + 1, slice(bounds[q], bounds[q + 1])
+            slots, weights = cells[support], values[support]
+        else:  # built per row, so a batch holds no per-query arrays at once
+            start, slots = 0, np.flatnonzero(queries[q])
+            weights = queries[q][slots]
+            query_masses[q] = _sequential_sum(weights)
+        terms = columns[slots, start:]
+        np.minimum(terms, weights[:, None], out=terms)
+        row[start:] = _sequential_sum(terms)
+    distances = masses + query_masses[:, None]
+    overlaps *= 2.0  # in place, so a class matrix needs no third table
+    distances -= overlaps
     distances /= 2.0 * vocab_size
-    return np.minimum(distances, 1.0, out=distances)
+    np.minimum(distances, 1.0, out=distances)
+    return np.triu(distances, 1) if queries is None else distances
 
 
 def graph_distance(a: OpcodeGraph, b: OpcodeGraph) -> ScoreValue:
@@ -469,5 +501,5 @@ def graph_distance(a: OpcodeGraph, b: OpcodeGraph) -> ScoreValue:
     """
     if not same_vocabulary(a.vocab, b.vocab):
         raise VocabularyMismatchError("graphs use different vocabularies")
-    distance = float(scaled_l1(graph_layout([a.vector]), b.vector, a.vocab.size)[0])
+    distance = float(scaled_l1(graph_layout([a.vector]), [b.vector], a.vocab.size)[0, 0])
     return ScoreValue(distance, 1.0 - distance)

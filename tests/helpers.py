@@ -51,6 +51,21 @@ def naive_graph_distance(a: OpcodeGraph, b: OpcodeGraph) -> float:
     return total / (2.0 * size)
 
 
+def reference_distance(a: OpcodeGraph, b: OpcodeGraph) -> float:
+    """The kernel's arithmetic on Python floats, one slot at a time in slot order.
+
+    Both masses and the sum of minima are folded left to right over every
+    slot, then combined as ``((m_a + m_b) - 2 * o) / 2V`` and clipped at 1, so
+    the result must match the optimized distance bit for bit.
+    """
+    mass_a = mass_b = overlap = 0.0
+    for x, y in zip(a.vector.tolist(), b.vector.tolist()):
+        mass_a += x
+        mass_b += y
+        overlap += min(x, y)
+    return min(((mass_a + mass_b) - 2.0 * overlap) / (2.0 * a.vocab.size), 1.0)
+
+
 def reference_dbscan(dist: np.ndarray, eps: float, min_pts: int) -> list[int]:
     """Textbook DBSCAN with on-demand region queries and a seed list.
 

@@ -20,13 +20,14 @@ from opsig.opgraph import (
     OpcodeGraph,
     OpcodeVocabulary,
     build_graph,
+    _sequential_sum,
     graph_distance,
     graph_layout,
     scaled_l1,
 )
 from opsig.signatures import Signature, SignatureDatabase, load_database, save_database
 
-from helpers import make_vocab, naive_graph_distance, random_graph
+from helpers import make_vocab, naive_graph_distance, random_graph, reference_distance
 
 OPCODES = tuple(f"OP{i}" for i in range(6))
 FOREIGN = ("XX", "YY")  # opcodes outside every vocabulary
@@ -187,7 +188,7 @@ def stack_and_queries(draw):
 
 
 def kernel(stack, query):
-    return scaled_l1(graph_layout([g.vector for g in stack]), query.vector, query.vocab.size)
+    return scaled_l1(graph_layout([g.vector for g in stack]), [query.vector], query.vocab.size)[0]
 
 
 @PROPERTY
@@ -268,6 +269,61 @@ def test_distance_matrix_cells_equal_graph_distance(case):
     for i, a in enumerate(built):
         for j, b in enumerate(built):
             assert values[i, j] == graph_distance(a, b).distance
+
+
+@st.composite
+def term_blocks(draw):
+    """1-D terms, or a block of 0-300 rows and 1-12 columns, in C, Fortran or strided order.
+
+    Magnitudes span many orders and some terms are zero, so the order of the additions shows.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(0, 300))
+    shape = (rows,) if draw(st.booleans()) else (rows, draw(st.integers(1, 12)))
+    terms = rng.random(shape) * np.exp(rng.normal(0.0, 8.0, shape))
+    terms[rng.random(shape) < 0.2] = 0.0
+    if len(shape) == 1:
+        return terms
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(terms)
+    if layout == "strided":  # every other column of a wider C-ordered block
+        wide = np.zeros((rows, 2 * shape[1]))
+        wide[:, ::2] = terms
+        return wide[:, ::2]
+    return terms
+
+
+@PROPERTY
+@given(term_blocks())
+def test_sequential_sum_adds_each_column_left_to_right(terms):
+    expected = []
+    for column in terms.T.tolist() if terms.ndim == 2 else [terms.tolist()]:
+        total = 0.0
+        for term in column:
+            total += term
+        expected.append(total)
+    result = np.asarray(_sequential_sum(terms))
+    assert result.shape == terms.shape[1:]
+    assert result.tobytes() == np.array(expected).reshape(result.shape).tobytes()
+
+
+@PROPERTY
+@given(st.data())
+def test_every_kernel_caller_equals_the_python_float_reference(data):
+    vocab, built = data.draw(dense_graphs(data.draw(st.integers(1, 9))))
+    values = compute_distance_matrix([(str(i), g) for i, g in enumerate(built)]).values
+    for i, a in enumerate(built):
+        for j, b in enumerate(built):
+            assert graph_distance(a, b).distance == reference_distance(a, b)
+            assert values[i, j] == reference_distance(a, b)
+    signatures = tuple(Signature(f"f/r1/{i}", "f", g, 1, "r1") for i, g in enumerate(built))
+    db = SignatureDatabase(vocab, signatures, {})
+    by_id = {sig.signature_id: sig.graph for sig in db.signatures}
+    items = [(f"s{i}", g) for i, g in enumerate(built) if g.vector.any()]
+    for (_, query), prediction in zip(items, classify_batch(items, db)):
+        for signature_id, distance in prediction.ranking:
+            assert distance == reference_distance(by_id[signature_id], query)
 
 
 @PROPERTY

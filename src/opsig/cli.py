@@ -88,9 +88,10 @@ def _fold_count(text: str) -> int:
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retain", type=_retain_value, default=DEFAULT_RETAIN_FRACTION,
                         help="bigram retention fraction (default %(default)s)")
+    eps_default = ",".join(map(str, DEFAULT_EPS_SCHEDULE))
     parser.add_argument("--eps", type=_eps_schedule, default=DEFAULT_EPS_SCHEDULE,
                         metavar="E1,E2,...",
-                        help="ascending eps schedule (default 0.01,0.1)")
+                        help=f"ascending eps schedule (default {eps_default})")
     parser.add_argument("--min-pts", type=_positive_int, default=DEFAULT_MIN_PTS,
                         help="DBSCAN core threshold (default %(default)s)")
 

@@ -26,7 +26,7 @@ from .errors import (
     SimilarityTableError,
 )
 from .ingest import BENIGN_LABEL, OpcodeSequence
-from .opgraph import DEFAULT_RETAIN_FRACTION, code_corpus, normalized_graphs
+from .opgraph import DEFAULT_RETAIN_FRACTION, CodedCorpus, code_corpus, normalized_graphs
 from .signatures import DEFAULT_SEED, SignatureDatabase, train_database
 
 DEFAULT_K = 5
@@ -193,22 +193,27 @@ def run_crossval(
     A test sample with an all-zero graph (no bigram its fold retains) is left
     out of the matrices and counted in ``diagnostics["empty_test_graphs"]``.
     """
-    config = config or EvalConfig()
     plan = stratified_kfold(corpus, k, seed)
-    coded = code_corpus(corpus)
+    return _crossval(corpus, plan, code_corpus(corpus), config or EvalConfig())
+
+
+def _crossval(
+    corpus: Sequence[OpcodeSequence], plan: FoldPlan, coded: CodedCorpus, config: EvalConfig
+) -> CrossvalResult:
+    """``run_crossval`` over the folds of ``plan``, with ``corpus`` coded as ``coded``."""
     folds = [plan.fold_of(sample) for sample in corpus]
     labels = tuple(sorted({sample.label for sample in corpus}))
     position = {label: i for i, label in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     dropped_test = empty_test = 0
     signatures_per_fold: list[int] = []
-    for fold in range(k):
+    for fold in range(plan.k):
         try:
             train = [i for i in range(len(corpus)) if folds[i] != fold]
             test = [i for i in range(len(corpus)) if folds[i] == fold]
             db = train_database(
                 coded, corpus, train, config.retain_fraction, config.eps_schedule,
-                config.min_pts, seed, config.monolithic,
+                config.min_pts, plan.seed, config.monolithic,
             )
             rows, dropped = coded.count_rows(test, db.vocabulary)
             dropped_test += int(dropped.sum())
@@ -235,7 +240,7 @@ def run_crossval(
         "empty_test_graphs": empty_test,
         "signatures_per_fold": signatures_per_fold,
     }
-    return CrossvalResult(multiclass, binary, metrics, k, seed, config, diagnostics)
+    return CrossvalResult(multiclass, binary, metrics, plan.k, plan.seed, config, diagnostics)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,10 +294,12 @@ def baseline_comparison(
     seed: int = DEFAULT_SEED,
     config: EvalConfig | None = None,
 ) -> BaselineComparison:
-    """Evaluate identical folds twice: clustered and monolithic signatures."""
+    """Evaluate identical folds twice, clustered and monolithic, from one plan and one coding."""
     config = config or EvalConfig()
-    clustered = run_crossval(corpus, k, seed, replace(config, monolithic=False))
-    monolithic = run_crossval(corpus, k, seed, replace(config, monolithic=True))
+    plan = stratified_kfold(corpus, k, seed)
+    coded = code_corpus(corpus)
+    clustered = _crossval(corpus, plan, coded, replace(config, monolithic=False))
+    monolithic = _crossval(corpus, plan, coded, replace(config, monolithic=True))
     delta = clustered.metrics.macro_tpr - monolithic.metrics.macro_tpr
     return BaselineComparison(clustered, monolithic, delta)
 

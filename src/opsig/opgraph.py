@@ -24,14 +24,14 @@ zero term changes no bit, so the kernel is exact where it matters: identical
 vectors score exactly 0.0, swapping the two graphs changes no bit, and a pair
 scores the same bits alone as inside any table.
 
-Both classification and training code opcodes as integers. Training codes a
-whole corpus once with ``code_corpus`` and takes its vocabularies and count
-rows from that coding; ``graph_for_sequence`` codes one sample through the
-vocabulary's cell table, ``slot_of_cell``. ``count_bigrams`` and
-``build_graph`` are the same counts and graphs as dicts keyed by bigram;
-``count_bigrams`` codes one sample's opcodes in order of first appearance
-and counts its pair codes with one ``np.unique``. A count dict's key order
-is not part of its contract.
+Both classification and training code opcodes as integers, and every bigram
+finds its graph-vector slot through one method, ``OpcodeVocabulary.slot_of``.
+Training codes a whole corpus once with ``code_corpus`` and takes its
+vocabularies and count rows from that coding; ``graph_for_sequence`` codes
+one sample. ``build_graph`` takes the same counts as a dict keyed by bigram,
+as ``count_bigrams`` and ``merge_counts`` give them; ``count_bigrams`` codes
+one sample's opcodes in order of first appearance and counts its pair codes
+with one ``np.unique``. A count dict's key order is not part of its contract.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -155,28 +155,26 @@ class OpcodeVocabulary:
         return _read_only(self.flat_cells % self.size)
 
     @cached_property
-    def slots(self) -> dict[Bigram, int]:
-        """Position of each retained bigram in a graph vector."""
-        ops = self.opcodes
-        cells = zip(self.cell_rows.tolist(), self.cell_cols.tolist())
-        return {(ops[row], ops[col]): slot for slot, (row, col) in enumerate(cells)}
-
-    @cached_property
     def _row_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """First slot and slot count of each opcode row that holds a retained bigram."""
         starts = np.flatnonzero(np.diff(self.cell_rows, prepend=-1))
         return _read_only(starts), _read_only(np.diff(starts, append=len(self.flat_cells)))
 
     @cached_property
-    def slot_of_cell(self) -> np.ndarray:
-        """Slot of cell ``row * (V + 1) + col`` in a graph vector, -1 where not retained.
-
-        An opcode outside the vocabulary has index V, whose row and column hold no slot.
-        """
+    def _slot_table(self) -> np.ndarray:
+        """Slot of cell ``row * (V + 1) + col``; -1 where not retained or an index is V."""
         width = self.size + 1
         table = np.full(width * width, -1, dtype=np.intp)
         table[self.cell_rows * width + self.cell_cols] = np.arange(len(self.flat_cells))
         return _read_only(table)
+
+    def slot_of(self, firsts: np.ndarray, seconds: np.ndarray) -> np.ndarray:
+        """Graph-vector slot of each bigram ``(firsts[k], seconds[k])`` of opcode indices.
+
+        Indices lie in [0, V], where V stands for an opcode outside the
+        vocabulary. A bigram that is not retained, or holds index V, has slot -1.
+        """
+        return self._slot_table[firsts * (self.size + 1) + seconds]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -262,13 +260,12 @@ class CodedCorpus:
     def count_rows(
         self, positions: Sequence[int], vocab: OpcodeVocabulary
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``retained_counts`` over ``vocab`` of the samples at ``positions``, one row each.
+        """Counts of ``vocab``'s retained bigrams in slot order, a row per sample at ``positions``.
 
         Also returns each sample's occurrences of bigrams that ``vocab`` does not retain.
         """
-        # each distinct bigram's slot in ``vocab``'s graph vectors, -1 where not retained
-        firsts, seconds = _vocabulary_codes(self.opcodes, vocab)[self.bigram_codes].T
-        slots = vocab.slot_of_cell[firsts * (vocab.size + 1) + seconds]
+        codes = _vocabulary_codes(self.opcodes, vocab, len(self.opcodes))
+        slots = vocab.slot_of(*codes[self.bigram_codes].T)
         entries, owners = self._entries(positions)
         entry_slots, counts = slots[self.pairs[entries]], self.counts[entries]
         kept = entry_slots >= 0
@@ -282,9 +279,9 @@ class CodedCorpus:
         return rows.reshape(len(positions), size), dropped.astype(np.int64)
 
 
-def _vocabulary_codes(opcodes: Sequence[str], vocab: OpcodeVocabulary) -> np.ndarray:
-    """Each opcode's index in ``vocab``, or V for an opcode outside it."""
-    return np.fromiter(map(vocab.index.get, opcodes, repeat(vocab.size)), np.intp, len(opcodes))
+def _vocabulary_codes(opcodes: Iterable[str], vocab: OpcodeVocabulary, length: int) -> np.ndarray:
+    """Each of the ``length`` opcodes' index in ``vocab``, or V for an opcode outside it."""
+    return np.fromiter(map(vocab.index.get, opcodes, repeat(vocab.size)), np.intp, length)
 
 
 def code_corpus(samples: Sequence[OpcodeSequence]) -> CodedCorpus:
@@ -372,18 +369,6 @@ def same_vocabulary(a: OpcodeVocabulary, b: OpcodeVocabulary) -> bool:
     return a is b or a == b
 
 
-def retained_counts(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[np.ndarray, int]:
-    """Counts of the retained bigrams in slot order, and the occurrences dropped."""
-    slot_of = vocab.slots.get
-    n = len(counts.counts)
-    slots = np.fromiter((slot_of(bigram, -1) for bigram in counts.counts), np.intp, n)
-    values = np.fromiter(counts.counts.values(), np.int64, n)
-    kept = slots >= 0
-    vector = np.zeros(len(vocab.flat_cells))
-    vector[slots[kept]] = values[kept]
-    return vector, int(values[~kept].sum())
-
-
 def normalized_graphs(rows: np.ndarray, vocab: OpcodeVocabulary) -> list[OpcodeGraph]:
     """One graph per row of retained counts: each opcode row divided by its own total, if any."""
     rows = np.asarray(rows, dtype=float)
@@ -404,15 +389,19 @@ def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGr
     Returns the graph together with the number of occurrences dropped because
     their bigram is not retained.
     """
-    vector, dropped = retained_counts(counts, vocab)
+    codes = _vocabulary_codes(chain.from_iterable(counts.counts), vocab, 2 * len(counts.counts))
+    slots = vocab.slot_of(codes[0::2], codes[1::2])
+    kept = slots >= 0
+    values = np.fromiter(counts.counts.values(), np.int64, len(slots))[kept]
+    vector = np.bincount(slots[kept], weights=values, minlength=len(vocab.flat_cells))
     (graph,) = normalized_graphs([vector], vocab)
-    return graph, dropped
+    return graph, counts.total - int(values.sum())
 
 
 def graph_for_sequence(seq: OpcodeSequence, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:
-    """``build_graph(count_bigrams(seq), vocab)``, counted through ``vocab.slot_of_cell``."""
-    codes = _vocabulary_codes(_opcodes(seq), vocab)
-    slots = vocab.slot_of_cell[codes[:-1] * (vocab.size + 1) + codes[1:]]
+    """``build_graph(count_bigrams(seq), vocab)``, each opcode pair looked up by ``slot_of``."""
+    codes = _vocabulary_codes(_opcodes(seq), vocab, len(seq.opcodes))
+    slots = vocab.slot_of(codes[:-1], codes[1:])
     kept = slots[slots >= 0]
     (graph,) = normalized_graphs([np.bincount(kept, minlength=len(vocab.flat_cells))], vocab)
     return graph, len(slots) - len(kept)

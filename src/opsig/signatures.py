@@ -24,7 +24,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .clusterer import DEFAULT_EPS_SCHEDULE, DEFAULT_MIN_PTS, class_matrix, multi_round_cluster
+from .clusterer import (
+    DEFAULT_EPS_SCHEDULE, DEFAULT_MIN_PTS, class_matrix, multi_round_cluster, validate_eps_schedule
+)
 from .errors import (
     ChecksumMismatchError,
     DatabaseFormatError,
@@ -170,7 +172,8 @@ def build_database(
     (benign included); classes are then processed in sorted label order.
     Each class's samples are clustered in ``sample_id`` order, so the result
     does not depend on the order of ``samples``. ``seed`` is only recorded
-    in the metadata.
+    in the metadata. In either mode, an eps schedule, ``min_pts`` or ``seed``
+    that clustering would reject is a ``ValueError``.
     """
     if not samples:
         raise EmptyCorpusError("cannot train on an empty corpus")
@@ -191,8 +194,12 @@ def train_database(
     monolithic: bool,
 ) -> SignatureDatabase:
     """``build_database`` over the samples at ``positions`` of ``samples``, coded as ``coded``."""
+    eps_values = validate_eps_schedule(eps_schedule)
+    if min_pts < 1:
+        raise ValueError("min_pts must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     vocab, classes = class_rows(coded, samples, positions, retain_fraction)
-    eps_values = tuple(float(e) for e in eps_schedule)
     signatures: list[Signature] = []
     for label, rows in classes:
         if monolithic:
@@ -202,7 +209,7 @@ def train_database(
             signatures += build_class_signatures(rows, vocab, label, eps_values, min_pts)
     metadata: dict[str, object] = {
         "retain_fraction": float(vocab.retain_fraction),
-        "eps_schedule": [float(e) for e in eps_values],
+        "eps_schedule": list(eps_values),
         "min_pts": int(min_pts),
         "seed": int(seed),
         "signature_mode": MONOLITHIC_TAG if monolithic else "clustered",
@@ -296,15 +303,14 @@ def _signature_vectors(entries: Sequence[dict], vocab: OpcodeVocabulary) -> np.n
     values = np.array(weights, dtype=float)
     if not np.all((values > 0.0) & (values <= 1.0)):
         raise DatabaseFormatError("weights must lie in (0, 1]")
-    slot_ids = vocab.slot_of_cell[np.repeat(row_ids, cells_per_row) * (size + 1) + cols]
+    cell_rows = np.repeat(row_ids, cells_per_row)
+    slot_ids = vocab.slot_of(cell_rows, cols)
     if np.any(slot_ids < 0):
         raise DatabaseFormatError("weight on a bigram that is not retained")
     owner = np.repeat(row_owner, cells_per_row)
     vectors = np.zeros((len(row_maps), len(vocab.flat_cells)))
     vectors[owner, slot_ids] = values
-    row_sums = np.bincount(
-        owner * size + vocab.cell_rows[slot_ids], weights=values, minlength=vectors.shape[0] * size
-    )
+    row_sums = np.bincount(owner * size + cell_rows, weights=values, minlength=len(row_maps) * size)
     if not np.all((row_sums == 0.0) | (np.abs(row_sums - 1.0) <= 1e-9)):
         raise DatabaseFormatError("a row's weights do not sum to 0 or 1")
     weightless = np.flatnonzero(~vectors.any(axis=1))

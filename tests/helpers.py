@@ -3,7 +3,7 @@
 The reference implementations here are deliberately written in the plainest
 possible style, independent of the package internals, so they can serve as
 oracles: a textbook region-query DBSCAN, a pair-counting adjusted Rand index,
-and a double-loop graph distance.
+a double-loop graph distance and a plain-loop graph builder.
 """
 
 from collections import Counter
@@ -39,6 +39,27 @@ def random_graph(
         weights[rng.random(vocab.size) < zero_row_prob] = 0.0
     weights.setflags(write=False)
     return OpcodeGraph(vocab, weights)
+
+
+def reference_graph(opcodes, vocab: OpcodeVocabulary) -> tuple[np.ndarray, np.ndarray, int]:
+    """One sample's retained counts and graph vector over ``vocab``, and its dropped count.
+
+    Adjacent pairs are counted with a ``Counter`` and kept when they are in
+    ``vocab.retained_bigrams``. Slots follow ``(index[a], index[b])`` order,
+    and each count is divided by its opcode row's retained total as Python
+    numbers, so the vector must match the package's graphs bit for bit.
+    """
+    index = {op: i for i, op in enumerate(vocab.opcodes)}
+    slots = sorted(vocab.retained_bigrams, key=lambda pair: (index[pair[0]], index[pair[1]]))
+    pairs = Counter(zip(opcodes, opcodes[1:]))
+    row_totals: Counter = Counter()
+    for pair, n in pairs.items():
+        if pair in vocab.retained_bigrams:
+            row_totals[pair[0]] += n
+    counts = [pairs[pair] for pair in slots]
+    weights = [n / row_totals[pair[0]] if n else 0.0 for pair, n in zip(slots, counts)]
+    dropped = sum(pairs.values()) - sum(counts)
+    return np.array(counts, dtype=float), np.array(weights, dtype=float), dropped
 
 
 def naive_graph_distance(a: OpcodeGraph, b: OpcodeGraph) -> float:

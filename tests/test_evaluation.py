@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,15 @@ class TestRunCrossval:
         corpus = constant_corpus() + [OpcodeSequence("famA-empty", (), "famA")]
         with pytest.raises(EmptySampleError, match="famA-empty"):
             run_crossval(corpus, k=5, seed=7)
+
+    @pytest.mark.parametrize("monolithic", [False, True])
+    def test_bad_settings_rejected_in_both_modes(self, monolithic):
+        config = EvalConfig(eps_schedule=(0.3, -1.0), min_pts=0, monolithic=monolithic)
+        with pytest.raises(ValueError, match="eps values must lie in"):
+            run_crossval(constant_corpus(), k=5, seed=7, config=config)
+        config = replace(config, eps_schedule=(0.3,))
+        with pytest.raises(ValueError, match="min_pts must be >= 1"):
+            run_crossval(constant_corpus(), k=5, seed=7, config=config)
 
     def test_corpus_without_bigrams_names_fold(self):
         corpus = [OpcodeSequence(f"{label}-{i}", ("MOV",), label)

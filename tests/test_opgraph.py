@@ -18,12 +18,11 @@ from opsig.opgraph import (
     graph_distance,
     graph_for_sequence,
     merge_counts,
-    retained_counts,
 )
 from opsig.signatures import build_database, load_database, save_database
 from opsig.synthcorpus import generate_corpus
 
-from helpers import make_vocab, naive_graph_distance, random_graph
+from helpers import make_vocab, naive_graph_distance, random_graph, reference_graph
 
 
 class TestCountBigrams:
@@ -249,20 +248,50 @@ def test_coded_counts_match_counter_reference(drawn, retain):
     assert vocab == reference
     # held-out samples first, then the training ones backwards: rows follow ``positions``
     positions = [i for i in range(len(samples)) if i not in train] + train[::-1]
+    assert_rows_match_reference(coded, samples, positions, vocab)
+
+
+def assert_rows_match_reference(coded, samples, positions, vocab):
+    """``count_rows`` gives the plain-loop counts and drop count of each sample, bit for bit."""
     rows, dropped = coded.count_rows(positions, vocab)
-    assert rows.shape == (len(samples), len(vocab.flat_cells))
+    assert rows.shape == (len(positions), len(vocab.flat_cells))
     for i, row, sample_dropped in zip(positions, rows, dropped):
-        expected, expected_dropped = retained_counts(count_bigrams(samples[i]), vocab)
+        expected, _, expected_dropped = reference_graph(samples[i].opcodes, vocab)
         assert row.tobytes() == expected.tobytes()
         assert sample_dropped == expected_dropped
 
 
+def test_count_rows_match_reference_on_unseen_and_one_opcode_samples():
+    opcodes = [("ADD", "MOV", "ADD", "MOV", "JMP"), ("ADD",), ("NOP", "NOP"), ("ADD", "NOP", "MOV")]
+    samples = [OpcodeSequence(f"s{i}", ops) for i, ops in enumerate(opcodes)]
+    coded = code_corpus(samples)
+    vocab = coded.vocabulary([0], 1.0)
+    assert "NOP" not in vocab.opcodes
+    assert_rows_match_reference(coded, samples, [3, 2, 1, 0], vocab)
+
+
 def assert_matches_dict_path(seq, vocab):
-    """``graph_for_sequence`` gives the graph and drop count of the dict-based path, bit for bit."""
-    graph, dropped = graph_for_sequence(seq, vocab)
-    expected, expected_dropped = build_graph(count_bigrams(seq), vocab)
-    assert graph.vector.tobytes() == expected.vector.tobytes()
-    assert dropped == expected_dropped
+    """``graph_for_sequence`` and the dict-based path give the plain-loop graph, bit for bit."""
+    _, expected, expected_dropped = reference_graph(seq.opcodes, vocab)
+    for graph, dropped in (graph_for_sequence(seq, vocab), build_graph(count_bigrams(seq), vocab)):
+        assert graph.vector.tobytes() == expected.tobytes()
+        assert dropped == expected_dropped
+
+
+class TestSlotOf:
+    @settings(max_examples=100, deadline=None)
+    @given(coded_corpora(), st.sampled_from((0.3, 0.6, 0.9, 1.0)))
+    def test_retained_cells_and_no_others_have_slots(self, drawn, retain):
+        samples = [OpcodeSequence(f"s{i}", tuple(ops)) for i, (ops, _) in enumerate(drawn)]
+        assume(any(len(sample.opcodes) > 1 for sample in samples))
+        vocab = code_corpus(samples).vocabulary(range(len(samples)), retain)
+        index = {op: i for i, op in enumerate(vocab.opcodes)}
+        cells = sorted((index[a], index[b]) for a, b in vocab.retained_bigrams)
+        expected = {cell: slot for slot, cell in enumerate(cells)}
+        # index V stands for an opcode outside the vocabulary
+        firsts, seconds = np.divmod(np.arange((vocab.size + 1) ** 2), vocab.size + 1)
+        slots = vocab.slot_of(firsts, seconds).tolist()
+        assert slots == [expected.get(cell, -1) for cell in zip(firsts.tolist(), seconds.tolist())]
 
 
 class TestGraphForSequence:

@@ -228,6 +228,22 @@ class TestBuildDatabase:
         assert actual.predicted_label == expected.predicted_label
 
     @pytest.mark.parametrize("monolithic", [False, True])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"eps_schedule": (0.5, -3.0, 0.0)}, "eps values must lie in"),
+            ({"eps_schedule": (0.1, 0.01)}, "strictly increasing"),
+            ({"min_pts": -4}, "min_pts must be >= 1"),
+            ({"min_pts": 0}, "min_pts must be >= 1"),
+            ({"seed": -5}, "seed must be >= 0"),
+        ],
+    )
+    def test_both_modes_reject_the_same_settings(self, monolithic, setting, message):
+        """A monolithic database must not record settings that clustering rejects."""
+        with pytest.raises(ValueError, match=message):
+            build_database(toy_corpus(), monolithic=monolithic, **setting)
+
+    @pytest.mark.parametrize("monolithic", [False, True])
     def test_class_without_retained_bigram_gets_no_signature(self, monolithic):
         corpus = toy_corpus() + [OpcodeSequence("z0", ("ZZZ", "QQQ"), "famZ")]
         db = build_database(corpus, retain_fraction=0.9, monolithic=monolithic)

@@ -122,22 +122,17 @@ def build_parser() -> argparse.ArgumentParser:
                             default="lines", help="input format (default %(default)s)")
     p_classify.set_defaults(func=_cmd_classify)
 
-    p_eval = sub.add_parser("eval", help="k-fold cross-validation on a corpus")
-    p_eval.add_argument("--corpus", required=True)
-    p_eval.add_argument("--out", required=True, help="report output directory")
-    p_eval.add_argument("--k", type=_fold_count, default=DEFAULT_K)
-    p_eval.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    _add_pipeline_flags(p_eval)
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_cmp = sub.add_parser("compare-baseline",
-                           help="clustered vs monolithic signatures on identical folds")
-    p_cmp.add_argument("--corpus", required=True)
-    p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--k", type=_fold_count, default=DEFAULT_K)
-    p_cmp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    _add_pipeline_flags(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
+    for name, func, help_text in (
+        ("eval", _cmd_eval, "k-fold cross-validation on a corpus"),
+        ("compare-baseline", _cmd_compare, "clustered vs monolithic signatures on identical folds"),
+    ):
+        p_fold = sub.add_parser(name, help=help_text)
+        p_fold.add_argument("--corpus", required=True)
+        p_fold.add_argument("--out", required=True, help="report output directory")
+        p_fold.add_argument("--k", type=_fold_count, default=DEFAULT_K)
+        p_fold.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        _add_pipeline_flags(p_fold)
+        p_fold.set_defaults(func=func)
 
     p_inv = sub.add_parser("investigate", help="pairwise class similarity table")
     p_inv.add_argument("--corpus", required=True)

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .ingest import BENIGN_LABEL, OpcodeSequence
 from .opgraph import DEFAULT_RETAIN_FRACTION, CodedCorpus, code_corpus, normalized_graphs
-from .signatures import DEFAULT_SEED, SignatureDatabase, train_database
+from .signatures import DEFAULT_SEED, SignatureDatabase, check_settings, train_database
 
 DEFAULT_K = 5
 
@@ -192,9 +192,12 @@ def run_crossval(
 
     A test sample with an all-zero graph (no bigram its fold retains) is left
     out of the matrices and counted in ``diagnostics["empty_test_graphs"]``.
+    Every setting is checked before the corpus is coded.
     """
+    config = config or EvalConfig()
+    check_settings(config.retain_fraction, config.eps_schedule, config.min_pts, seed)
     plan = stratified_kfold(corpus, k, seed)
-    return _crossval(corpus, plan, code_corpus(corpus), config or EvalConfig())
+    return _crossval(corpus, plan, code_corpus(corpus), config)
 
 
 def _crossval(
@@ -296,6 +299,7 @@ def baseline_comparison(
 ) -> BaselineComparison:
     """Evaluate identical folds twice, clustered and monolithic, from one plan and one coding."""
     config = config or EvalConfig()
+    check_settings(config.retain_fraction, config.eps_schedule, config.min_pts, seed)
     plan = stratified_kfold(corpus, k, seed)
     coded = code_corpus(corpus)
     clustered = _crossval(corpus, plan, coded, replace(config, monolithic=False))

@@ -121,7 +121,7 @@ class OpcodeVocabulary:
     retain_fraction: float
 
     def __post_init__(self) -> None:
-        _check_retain_fraction(self.retain_fraction)
+        object.__setattr__(self, "retain_fraction", check_retain_fraction(self.retain_fraction))
 
     @property
     def size(self) -> int:
@@ -182,9 +182,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _check_retain_fraction(retain_fraction: float) -> None:
-    if not 0.0 < retain_fraction <= 1.0:  # also rejects NaN
+def check_retain_fraction(retain_fraction: float) -> float:
+    """``retain_fraction`` as a ``float``, if it lies in (0, 1] and is no ``bool``."""
+    if isinstance(retain_fraction, bool) or not 0.0 < retain_fraction <= 1.0:  # also NaN
         raise ValueError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+    return float(retain_fraction)
 
 
 def _rank_and_cut(
@@ -196,7 +198,7 @@ def _rank_and_cut(
     counts, zero allowed. Bigrams rank by count descending, ties in bigram
     order, and the shortest ranked prefix reaching the threshold is retained.
     """
-    _check_retain_fraction(retain_fraction)
+    check_retain_fraction(retain_fraction)
     total = int(counts.sum())
     if total <= 0:
         raise EmptyCorpusError("cannot build a vocabulary from zero bigrams")

@@ -39,6 +39,7 @@ from .opgraph import (
     CodedCorpus,
     OpcodeGraph,
     OpcodeVocabulary,
+    check_retain_fraction,
     code_corpus,
     graph_layout,
     normalized_graphs,
@@ -158,6 +159,26 @@ def build_class_signatures(
     return signatures
 
 
+def check_settings(
+    retain_fraction: float, eps_schedule: Iterable[float], min_pts: int, seed: int
+) -> tuple[float, ...]:
+    """The eps schedule as a tuple, once every training setting is checked.
+
+    ``min_pts`` and ``seed`` must be integers (a ``bool`` is not one); a bad
+    setting is a ``ValueError``. Not exported: ``evaluation`` calls it too.
+    """
+    eps_values = validate_eps_schedule(eps_schedule)
+    for name, value in (("min_pts", min_pts), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if min_pts < 1:
+        raise ValueError("min_pts must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_retain_fraction(retain_fraction)
+    return eps_values
+
+
 def build_database(
     samples: Sequence[OpcodeSequence],
     retain_fraction: float = DEFAULT_RETAIN_FRACTION,
@@ -172,11 +193,12 @@ def build_database(
     (benign included); classes are then processed in sorted label order.
     Each class's samples are clustered in ``sample_id`` order, so the result
     does not depend on the order of ``samples``. ``seed`` is only recorded
-    in the metadata. In either mode, an eps schedule, ``min_pts`` or ``seed``
-    that clustering would reject is a ``ValueError``.
+    in the metadata. In either mode, a setting that ``check_settings``
+    rejects is a ``ValueError``, raised before the corpus is coded.
     """
     if not samples:
         raise EmptyCorpusError("cannot train on an empty corpus")
+    check_settings(retain_fraction, eps_schedule, min_pts, seed)
     return train_database(
         code_corpus(samples), samples, range(len(samples)), retain_fraction, eps_schedule,
         min_pts, seed, monolithic,
@@ -194,11 +216,7 @@ def train_database(
     monolithic: bool,
 ) -> SignatureDatabase:
     """``build_database`` over the samples at ``positions`` of ``samples``, coded as ``coded``."""
-    eps_values = validate_eps_schedule(eps_schedule)
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    eps_values = check_settings(retain_fraction, eps_schedule, min_pts, seed)
     vocab, classes = class_rows(coded, samples, positions, retain_fraction)
     signatures: list[Signature] = []
     for label, rows in classes:
@@ -208,7 +226,7 @@ def train_database(
         else:
             signatures += build_class_signatures(rows, vocab, label, eps_values, min_pts)
     metadata: dict[str, object] = {
-        "retain_fraction": float(vocab.retain_fraction),
+        "retain_fraction": vocab.retain_fraction,
         "eps_schedule": list(eps_values),
         "min_pts": int(min_pts),
         "seed": int(seed),

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -205,90 +205,60 @@ class CorpusConfig:
 DEFAULT_CONFIG = CorpusConfig()
 
 
-def _sample_length(config: CorpusConfig, seed_path: SeedPath) -> int:
-    low, high = config.length_range
-    return int(_rng(seed_path).integers(low, high + 1))
+def _sources(
+    config: CorpusConfig, alphabet: tuple[str, ...]
+) -> Iterator[tuple[FamilyModel, dict, list[int], int]]:
+    """Each sample source in corpus order, built only when it is reached.
 
-
-def generate_corpus(config: CorpusConfig = DEFAULT_CONFIG) -> tuple[list[OpcodeSequence], dict]:
-    """Generate all samples plus a ground-truth manifest.
-
-    Every benign source behaves like one small sub-family of the shared
-    "benign" class and contributes ``samples_per_benign_source`` samples.
+    Yields the source's model, its manifest fields beyond the names, the seed
+    path its samples extend and its sample count. Building lazily keeps only
+    the current model's cached CDF lists alive.
     """
-    alphabet = default_alphabet(config.alphabet_size)
     root = config.seed
-    samples: list[OpcodeSequence] = []
-    model_entries: list[dict] = []
-    sample_entries: list[dict] = []
-
-    def emit(
-        model: FamilyModel, family: str, subfamily: str, sample_seed_base: SeedPath, count: int
-    ) -> None:
-        for k in range(count):
-            seq_seed = [*sample_seed_base, k]
-            length_seed = [root, _LENGTH_STREAM, *sample_seed_base[2:], k]
-            length = _sample_length(config, length_seed)
-            sample_id = f"{subfamily}-{k:03d}"
-            samples.append(
-                sample_sequence(model, length, seq_seed, sample_id=sample_id, label=family)
-            )
-            sample_entries.append(
-                {
-                    "sample_id": sample_id,
-                    "label": family,
-                    "family": family,
-                    "subfamily": subfamily,
-                    "length": length,
-                    "sequence_seed": list(seq_seed),
-                }
-            )
-
     for i in range(config.families):
         family = f"fam{i:02d}"
         base_seed = [root, _FAMILY_STREAM, i]
-        base = make_family_model(alphabet, base_seed, family_label=family, subfamily_label=family)
+        base = make_family_model(alphabet, base_seed, family, family)
         for j in range(config.subfamilies_per_family):
-            subfamily = f"{family}-s{j}"
-            sub_seed = [root, _SUBFAMILY_STREAM, i, j]
-            model = derive_subfamily(
-                base, config.subfamily_perturbation, sub_seed, subfamily_label=subfamily
-            )
-            model_entries.append(
-                {
-                    "label": family,
-                    "family": family,
-                    "subfamily": subfamily,
-                    "kind": "malware",
-                    "base_seed": base_seed,
-                    "model_seed": sub_seed,
-                }
-            )
-            emit(
-                model, family, subfamily,
-                [root, _SAMPLE_STREAM, i, j], config.samples_per_subfamily,
-            )
-
+            seed = [root, _SUBFAMILY_STREAM, i, j]
+            model = derive_subfamily(base, config.subfamily_perturbation, seed, f"{family}-s{j}")
+            fields = {"kind": "malware", "base_seed": base_seed, "model_seed": seed}
+            yield model, fields, [root, _SAMPLE_STREAM, i, j], config.samples_per_subfamily
     for b in range(config.benign_sources):
-        subfamily = f"{BENIGN_LABEL}-src{b}"
-        model_seed = [root, _BENIGN_STREAM, b]
-        model = make_family_model(
-            alphabet, model_seed, family_label=BENIGN_LABEL, subfamily_label=subfamily
-        )
-        model_entries.append(
-            {
-                "label": BENIGN_LABEL,
-                "family": BENIGN_LABEL,
-                "subfamily": subfamily,
-                "kind": "benign",
-                "model_seed": model_seed,
-            }
-        )
-        emit(
-            model, BENIGN_LABEL, subfamily,
-            [root, _SAMPLE_STREAM, config.families + 1, b],
-            config.samples_per_benign_source,
-        )
+        seed = [root, _BENIGN_STREAM, b]
+        model = make_family_model(alphabet, seed, BENIGN_LABEL, f"{BENIGN_LABEL}-src{b}")
+        fields = {"kind": "benign", "model_seed": seed}
+        seed_path = [root, _SAMPLE_STREAM, config.families + 1, b]
+        yield model, fields, seed_path, config.samples_per_benign_source
+
+
+def generate_corpus(config: CorpusConfig = DEFAULT_CONFIG) -> tuple[list[OpcodeSequence], dict]:
+    """Generate all samples plus a ground-truth manifest, in one pass over the sources.
+
+    Sources come in a fixed order: each family's sub-families, then the
+    benign sources. Every benign source behaves like one small sub-family of
+    the shared "benign" class and contributes ``samples_per_benign_source``
+    samples. Sample ``k`` of a source draws its length and its walk from
+    their own seed streams, so the corpus is a pure function of ``config``.
+    """
+    alphabet = default_alphabet(config.alphabet_size)
+    low, high = config.length_range
+    samples: list[OpcodeSequence] = []
+    model_entries: list[dict] = []
+    sample_entries: list[dict] = []
+    for model, fields, seed_path, count in _sources(config, alphabet):
+        family, subfamily = model.family_label, model.subfamily_label
+        names = {"label": family, "family": family, "subfamily": subfamily}
+        model_entries.append({**names, **fields})
+        for k in range(count):
+            seq_seed = [*seed_path, k]
+            length_seed = [config.seed, _LENGTH_STREAM, *seed_path[2:], k]
+            length = int(_rng(length_seed).integers(low, high + 1))
+            sample_id = f"{subfamily}-{k:03d}"
+            samples.append(sample_sequence(model, length, seq_seed, sample_id=sample_id))
+            sample_entries.append(
+                {**names, "sample_id": sample_id, "length": length, "sequence_seed": seq_seed}
+            )
 
     manifest = {
         "config": {**asdict(config), "length_range": list(config.length_range)},

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from opsig import evaluation
 from opsig.errors import EmptySampleError, FoldPlanError, OpsigError, SimilarityTableError
 from opsig.evaluation import (
     ConfusionMatrix,
@@ -189,6 +190,29 @@ class TestRunCrossval:
         config = replace(config, eps_schedule=(0.3,))
         with pytest.raises(ValueError, match="min_pts must be >= 1"):
             run_crossval(constant_corpus(), k=5, seed=7, config=config)
+
+    @pytest.mark.parametrize("comparison", [False, True])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"retain_fraction": True},
+            {"eps_schedule": (0.1, 0.01)},
+            {"min_pts": 0},
+            {"min_pts": 1.5},
+            {"seed": -1},
+            {"seed": 2.7},
+        ],
+    )
+    def test_bad_setting_raised_before_coding(self, monkeypatch, comparison, setting):
+        def no_coding(corpus):
+            raise AssertionError("the corpus was coded before its settings were checked")
+
+        monkeypatch.setattr(evaluation, "code_corpus", no_coding)
+        fields = dict(setting)
+        seed = fields.pop("seed", 7)
+        run = baseline_comparison if comparison else run_crossval
+        with pytest.raises(ValueError):
+            run(constant_corpus(), k=5, seed=seed, config=EvalConfig(**fields))
 
     def test_corpus_without_bigrams_names_fold(self):
         corpus = [OpcodeSequence(f"{label}-{i}", ("MOV",), label)

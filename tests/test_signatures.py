@@ -37,6 +37,22 @@ from opsig.synthcorpus import (
 DATA = Path(__file__).parent / "data"
 
 
+# each one bad on its own; a ``bool`` is no number here, and a float is no count
+BAD_SETTINGS = [
+    {"retain_fraction": 0.0},
+    {"retain_fraction": True},
+    {"eps_schedule": (0.1, 0.01)},
+    {"min_pts": 0},
+    {"min_pts": 1.5},
+    {"seed": -1},
+    {"seed": 2.7},
+]
+
+
+def _no_coding(samples):
+    raise AssertionError("the corpus was coded before its settings were checked")
+
+
 def toy_corpus():
     """Three tiny classes with distinct bigram structure."""
     samples = []
@@ -236,12 +252,32 @@ class TestBuildDatabase:
             ({"min_pts": -4}, "min_pts must be >= 1"),
             ({"min_pts": 0}, "min_pts must be >= 1"),
             ({"seed": -5}, "seed must be >= 0"),
+            ({"retain_fraction": True}, r"retain_fraction must be in \(0, 1\], got True"),
+            ({"min_pts": 1.5}, "min_pts must be an integer, got 1.5"),
+            ({"min_pts": True}, "min_pts must be an integer, got True"),
+            ({"seed": 2.7}, "seed must be an integer, got 2.7"),
+            ({"seed": False}, "seed must be an integer, got False"),
         ],
     )
     def test_both_modes_reject_the_same_settings(self, monolithic, setting, message):
-        """A monolithic database must not record settings that clustering rejects."""
+        """A monolithic database must not record settings that clustering rejects.
+
+        A float ``min_pts`` or ``seed`` would be recorded truncated, and ``True``
+        as a retain fraction would save a database that cannot be loaded.
+        """
         with pytest.raises(ValueError, match=message):
             build_database(toy_corpus(), monolithic=monolithic, **setting)
+
+    def test_numpy_integer_settings_accepted(self):
+        db = build_database(toy_corpus(), min_pts=np.int64(2), seed=np.int32(3))
+        assert db == build_database(toy_corpus(), min_pts=2, seed=3)
+        assert type(db.metadata["min_pts"]) is int and type(db.metadata["seed"]) is int
+
+    @pytest.mark.parametrize("setting", BAD_SETTINGS)
+    def test_bad_setting_raised_before_coding(self, monkeypatch, setting):
+        monkeypatch.setattr(signatures, "code_corpus", _no_coding)
+        with pytest.raises(ValueError):
+            build_database(toy_corpus(), **setting)
 
     @pytest.mark.parametrize("monolithic", [False, True])
     def test_class_without_retained_bigram_gets_no_signature(self, monolithic):
@@ -261,6 +297,15 @@ class TestSaveLoad:
 
     def test_save_load_save_byte_identical(self, tmp_path):
         db = build_database(toy_corpus(), retain_fraction=0.9)
+        first = tmp_path / "one.sigdb.json"
+        second = tmp_path / "two.sigdb.json"
+        save_database(db, first)
+        save_database(load_database(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_integer_retain_fraction_resaves_identically(self, tmp_path):
+        db = build_database(toy_corpus(), retain_fraction=1)
+        assert type(db.vocabulary.retain_fraction) is float
         first = tmp_path / "one.sigdb.json"
         second = tmp_path / "two.sigdb.json"
         save_database(db, first)
@@ -571,6 +616,14 @@ class TestLoadValidity:
         _resign(path, doc)
         with pytest.raises(DatabaseFormatError, match=r"retain_fraction must be in \(0, 1\]"):
             load_database(path)
+
+    def test_integer_retain_fraction_still_loads(self, saved):
+        """Files saved before the vocabulary stored a float may hold an integer."""
+        path, doc, _ = saved
+        doc["vocabulary"]["retain_fraction"] = 1
+        _resign(path, doc)
+        retain_fraction = load_database(path).vocabulary.retain_fraction
+        assert type(retain_fraction) is float and retain_fraction == 1.0
 
     def test_weight_off_retained_support_rejected(self, saved):
         path, doc, db = saved

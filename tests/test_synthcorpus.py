@@ -18,6 +18,17 @@ from opsig.synthcorpus import (
 )
 
 
+def corpus_digest(config):
+    """SHA-256 over a generated corpus as written, in generation order, then its manifest."""
+    samples, manifest = generate_corpus(config)
+    digest = hashlib.sha256()
+    for seq in samples:
+        digest.update(f"{seq.label}/{seq.sample_id}\n".encode())
+        digest.update(format_mnemonic_lines(seq).encode())
+    digest.update((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
+    return digest.hexdigest()
+
+
 class TestMakeFamilyModel:
     def test_rows_are_stochastic(self):
         alphabet = default_alphabet(24)
@@ -254,15 +265,37 @@ class TestGenerateCorpus:
 
     def test_default_corpus_bytes_pinned(self):
         """SHA-256 over the seed-7 default corpus as written, in generation order."""
-        samples, manifest = generate_corpus()
-        digest = hashlib.sha256()
-        for seq in samples:
-            digest.update(f"{seq.label}/{seq.sample_id}\n".encode())
-            digest.update(format_mnemonic_lines(seq).encode())
-        digest.update((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
-        assert digest.hexdigest() == (
+        assert corpus_digest(CorpusConfig()) == (
             "13dba509dc1aca16f0109d9347bf0824cee9debab64f2c80a48fd6ab39b1230f"
         )
+
+    @pytest.mark.parametrize(
+        "fields, expected",
+        [
+            pytest.param(
+                {"alphabet_size": 200, "samples_per_subfamily": 10,
+                 "samples_per_benign_source": 3, "length_range": (2000, 3000)},
+                "2cbd9ea3f94b119a2fb76b8bc4424406cd5e74fa9c044da1cca1ebdc424b8cf6",
+                id="wide",
+            ),
+            pytest.param(
+                {"length_range": (40, 120)},
+                "7aae9f386a54e12180a3e0c821657431b4b07ff3aa28dd99648603b42afa1a8c",
+                id="short",
+            ),
+            pytest.param(
+                {"families": 1, "subfamilies_per_family": 1, "samples_per_subfamily": 1,
+                 "benign_sources": 1, "samples_per_benign_source": 1, "alphabet_size": 1,
+                 "length_range": (2, 2)},
+                "28b83af35ac8bff2462d2ce160109e97f34f6a3694f03c2cbadfec6f8661ee15",
+                id="minimal",
+            ),
+        ],
+    )
+    def test_corpus_bytes_pinned(self, fields, expected):
+        """The same digest over other seed-7 shapes: the benchmark's ``wide``, short samples
+        and a one-opcode corpus with one sample per source."""
+        assert corpus_digest(CorpusConfig(**fields)) == expected
 
 
 class TestWriteCorpus:

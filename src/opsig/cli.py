@@ -13,7 +13,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .classifier import classify
 from .clusterer import (
@@ -23,7 +23,7 @@ from .clusterer import (
     cluster_report_csv,
     validate_eps_schedule,
 )
-from .errors import OpsigError
+from .errors import OpsigError, check_integer
 from .evaluation import (
     DEFAULT_K,
     EvalConfig,
@@ -34,65 +34,36 @@ from .evaluation import (
     write_crossval_reports,
 )
 from .ingest import load_corpus, parse_sample_file
-from .opgraph import DEFAULT_RETAIN_FRACTION, code_corpus, graph_for_sequence
+from .opgraph import DEFAULT_RETAIN_FRACTION, check_retain_fraction, code_corpus, graph_for_sequence
 from .signatures import DEFAULT_SEED, build_database, class_rows, load_database, save_database
 from .synthcorpus import DEFAULT_CONFIG, generate_corpus, write_corpus
 
 
-def _retain_value(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid retain fraction {text!r}") from exc
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"retain fraction must lie in (0, 1], got {text}")
-    return value
+def _flag(parse: Callable[[str], Any], check: Callable[[Any], Any]) -> Callable[[str], Any]:
+    """An argparse ``type`` giving ``check(parse(text))``; a ``ValueError`` is a usage error."""
+    def convert(text: str) -> Any:
+        try:
+            return check(parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
-def _eps_schedule(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-        return validate_eps_schedule(values)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid eps schedule {text!r}: {exc}") from exc
-
-
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from exc
-
-
-def _positive_int(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"value must be >= 1, got {text}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
-    return value
-
-
-def _fold_count(text: str) -> int:
-    value = _positive_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"k must be >= 2, got {text}")
-    return value
+_RETAIN = _flag(float, check_retain_fraction)
+_EPS = _flag(lambda text: text.split(","), validate_eps_schedule)
+_MIN_PTS = _flag(int, lambda value: check_integer("min_pts", value, 1))
+_SEED = _flag(int, lambda value: check_integer("seed", value, 0))
+_K = _flag(int, lambda value: check_integer("k", value, 2))
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--retain", type=_retain_value, default=DEFAULT_RETAIN_FRACTION,
+    parser.add_argument("--retain", type=_RETAIN, default=DEFAULT_RETAIN_FRACTION,
                         help="bigram retention fraction (default %(default)s)")
     eps_default = ",".join(map(str, DEFAULT_EPS_SCHEDULE))
-    parser.add_argument("--eps", type=_eps_schedule, default=DEFAULT_EPS_SCHEDULE,
+    parser.add_argument("--eps", type=_EPS, default=DEFAULT_EPS_SCHEDULE,
                         metavar="E1,E2,...",
                         help=f"ascending eps schedule (default {eps_default})")
-    parser.add_argument("--min-pts", type=_positive_int, default=DEFAULT_MIN_PTS,
+    parser.add_argument("--min-pts", type=_MIN_PTS, default=DEFAULT_MIN_PTS,
                         help="DBSCAN core threshold (default %(default)s)")
 
 
@@ -105,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate the default synthetic corpus")
     p_synth.add_argument("--out", required=True, help="corpus output directory")
-    p_synth.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p_synth.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_train = sub.add_parser("train", help="build a signature database from a corpus")
     p_train.add_argument("--corpus", required=True)
     p_train.add_argument("--db", required=True, help="output database path")
     _add_pipeline_flags(p_train)
-    p_train.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p_train.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
     p_train.set_defaults(func=_cmd_train)
 
     p_classify = sub.add_parser("classify", help="classify one sample against a database")
@@ -129,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
         p_fold = sub.add_parser(name, help=help_text)
         p_fold.add_argument("--corpus", required=True)
         p_fold.add_argument("--out", required=True, help="report output directory")
-        p_fold.add_argument("--k", type=_fold_count, default=DEFAULT_K)
-        p_fold.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        p_fold.add_argument("--k", type=_K, default=DEFAULT_K)
+        p_fold.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
         _add_pipeline_flags(p_fold)
         p_fold.set_defaults(func=func)
 
     p_inv = sub.add_parser("investigate", help="pairwise class similarity table")
     p_inv.add_argument("--corpus", required=True)
-    p_inv.add_argument("--retain", type=_retain_value, default=DEFAULT_RETAIN_FRACTION)
+    p_inv.add_argument("--retain", type=_RETAIN, default=DEFAULT_RETAIN_FRACTION)
     p_inv.add_argument("--out", default=None, help="optional directory for the CSV")
     p_inv.set_defaults(func=_cmd_investigate)
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .csvtext import csv_text
-from .errors import UnknownSampleError, VocabularyMismatchError
+from .errors import UnknownSampleError, VocabularyMismatchError, check_integer
 from .opgraph import (
     OpcodeGraph,
     OpcodeVocabulary,
@@ -102,11 +102,9 @@ def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int) -> np.ndarray:
     border point joins the first cluster that reaches it, which pins down its
     otherwise ambiguous assignment.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
-    return _dbscan(matrix.values, eps, min_pts)
+    return _dbscan(matrix.values, eps, check_integer("min_pts", min_pts, 1))
 
 
 def _dbscan(values: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -206,8 +204,7 @@ def multi_round_cluster(
     left as noise after the final round become singleton groups.
     """
     eps_values = validate_eps_schedule(schedule)
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
+    min_pts = check_integer("min_pts", min_pts, 1)
     ids = matrix.sample_ids
     groups: list[Cluster] = []
     rest = np.arange(len(ids))  # positions still noise, ascending

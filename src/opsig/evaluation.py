@@ -24,6 +24,7 @@ from .errors import (
     FoldPlanError,
     OpsigError,
     SimilarityTableError,
+    check_integer,
 )
 from .ingest import BENIGN_LABEL, OpcodeSequence
 from .opgraph import DEFAULT_RETAIN_FRACTION, CodedCorpus, code_corpus, normalized_graphs
@@ -63,10 +64,8 @@ def stratified_kfold(
 
     Within each class the fold sizes differ by at most one.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    k = check_integer("k", k, 2)
+    seed = check_integer("seed", seed, 0)
     by_label: dict[str, list[str]] = {}
     seen: set[str] = set()
     for sample in corpus:

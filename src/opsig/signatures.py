@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import secrets
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,6 +33,7 @@ from .errors import (
     DatabaseFormatError,
     EmptyCorpusError,
     UnsupportedVersionError,
+    check_integer,
 )
 from .ingest import OpcodeSequence
 from .opgraph import (
@@ -63,8 +65,8 @@ class Signature:
     round_tag: str
 
     def __post_init__(self) -> None:
-        if self.member_count < 1:
-            raise ValueError("member_count must be >= 1")
+        member_count = check_integer("member_count", self.member_count, 1)
+        object.__setattr__(self, "member_count", member_count)
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def class_rows(
     """
     by_label: dict[str, list[int]] = {}
     for i in sorted(positions, key=lambda position: samples[position].sample_id):
-        if samples[i].label is None:
+        if not samples[i].label:  # None or "", which no saved database may hold
             raise ValueError(f"training sample {samples[i].sample_id!r} has no class label")
         by_label.setdefault(samples[i].label, []).append(i)
     vocab = coded.vocabulary(positions, retain_fraction)
@@ -164,17 +166,12 @@ def check_settings(
 ) -> tuple[float, ...]:
     """The eps schedule as a tuple, once every training setting is checked.
 
-    ``min_pts`` and ``seed`` must be integers (a ``bool`` is not one); a bad
+    ``min_pts`` and ``seed`` are checked by ``errors.check_integer``; a bad
     setting is a ``ValueError``. Not exported: ``evaluation`` calls it too.
     """
     eps_values = validate_eps_schedule(eps_schedule)
-    for name, value in (("min_pts", min_pts), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_integer("min_pts", min_pts, 1)
+    check_integer("seed", seed, 0)
     check_retain_fraction(retain_fraction)
     return eps_values
 
@@ -363,6 +360,7 @@ def _known_keys(obj: dict, keys: frozenset[str], name: str) -> dict:
 _PAYLOAD_KEYS = frozenset({"version", "metadata", "vocabulary", "signatures"})
 _VOCABULARY_KEYS = frozenset({"opcodes", "retain_fraction", "retained_bigrams"})
 _ENTRY_KEYS = frozenset({"id", "label", "member_count", "round_tag", "rows"})
+_ORDINAL = re.compile(r"0|[1-9][0-9]*")
 
 
 def load_database(path: str | Path) -> SignatureDatabase:
@@ -437,7 +435,15 @@ def load_database(path: str | Path) -> SignatureDatabase:
             for entry, vector in zip(entries, _signature_vectors(entries, vocab))
         ]
         metadata = _typed(data["metadata"], (dict,), "metadata")
-        return SignatureDatabase(vocab, tuple(signatures), metadata)
+        db = SignatureDatabase(vocab, tuple(signatures), metadata)
+        for sig in db.signatures:  # as the saver writes them, so they re-save in the same order
+            prefix = f"{sig.class_label}/{sig.round_tag}/"
+            if not sig.class_label:
+                raise DatabaseFormatError(f"signature {sig.signature_id!r} has an empty label")
+            if not (sig.signature_id.startswith(prefix)
+                    and _ORDINAL.fullmatch(sig.signature_id, len(prefix))):
+                raise DatabaseFormatError(f"signature id {sig.signature_id!r} is not {prefix}<n>")
+        return db
     except DatabaseFormatError as exc:
         raise DatabaseFormatError(f"{path}: invalid database document: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:

@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import check_integer
 from .ingest import BENIGN_LABEL, OPS_SUFFIX, OpcodeSequence, format_mnemonic_lines
 
 # Chains are sparse by construction: each model mostly walks an "active"
@@ -53,8 +54,7 @@ SeedPath = Sequence[int]
 
 def default_alphabet(size: int) -> tuple[str, ...]:
     """First ``size`` mnemonics: real x86 names, then synthetic OPnnn fillers."""
-    if size < 1:
-        raise ValueError("alphabet size must be >= 1")
+    size = check_integer("alphabet size", size, 1)
     names = list(_BASE_MNEMONICS[:size])
     names.extend(f"OP{i:03d}" for i in range(size - len(names)))
     return tuple(names)
@@ -155,8 +155,7 @@ def sample_sequence(
     with the CDFs held as Python lists. ``hi=top`` clamps a draw beyond the
     last entry of a row summing to less than 1 to the last opcode.
     """
-    if length < 2:
-        raise ValueError("length must be >= 2")
+    length = check_integer("length", length, 2)
     draws = _rng(seed).random(length).tolist()
     initial_cdf, transition_cdf = model._cdfs
     top = len(model.alphabet) - 1
@@ -189,17 +188,17 @@ class CorpusConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        """Check every field; each integer one is stored back as a plain ``int``."""
         for name in ("families", "subfamilies_per_family", "samples_per_subfamily",
                      "benign_sources", "samples_per_benign_source", "alphabet_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
         low, high = self.length_range
-        if low < 2 or high < low:
-            raise ValueError(f"invalid length_range {self.length_range}")
+        low = check_integer("length_range low end", low, 2)
+        high = check_integer("length_range high end", high, low)
+        object.__setattr__(self, "length_range", (low, high))
         if not 0.0 <= self.subfamily_perturbation <= 1.0:
             raise ValueError("subfamily_perturbation must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
 
 
 DEFAULT_CONFIG = CorpusConfig()

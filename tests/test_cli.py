@@ -64,6 +64,29 @@ class TestUsageErrors:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("eval", "--k", "2.5", "invalid literal for int() with base 10: '2.5'"),
+            ("eval", "--k", "1", "k must be >= 2, got 1"),
+            ("train", "--seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
+            ("train", "--min-pts", "x", "invalid literal for int() with base 10: 'x'"),
+            ("train", "--retain", "abc", "could not convert string to float: 'abc'"),
+            ("train", "--eps", "0.2,0.1", "eps values must be strictly increasing, got (0.2, 0.1)"),
+        ],
+    )
+    def test_bad_flag_value_exits_2_naming_the_flag(
+        self, command, flag, value, message, tiny_corpus, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        destination = "--db" if command == "train" else "--out"
+        argv = [command, "--corpus", str(tiny_corpus), destination, str(out), flag, value]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: {message}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_help_exits_0(self, capsys):
         assert dispatch(["--help"]) == 0
         capsys.readouterr()

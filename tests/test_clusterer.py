@@ -156,6 +156,8 @@ class TestDbscan:
             dbscan(matrix, eps=0.0, min_pts=2)
         with pytest.raises(ValueError):
             dbscan(matrix, eps=0.5, min_pts=0)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            dbscan(matrix, eps=float("nan"), min_pts=2)  # every point would be noise
 
 
 class TestValidateEpsSchedule:

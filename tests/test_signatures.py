@@ -222,8 +222,9 @@ class TestBuildDatabase:
         with pytest.raises(EmptyCorpusError, match="zero bigrams"):
             build_database(corpus)
 
-    def test_unlabelled_sample_rejected(self):
-        corpus = toy_corpus() + [OpcodeSequence("x0", ("MOV", "PUSH"))]
+    @pytest.mark.parametrize("label", [None, ""], ids=["none", "empty"])  # "" cannot load
+    def test_unlabelled_sample_rejected(self, label):
+        corpus = toy_corpus() + [OpcodeSequence("x0", ("MOV", "PUSH"), label)]
         with pytest.raises(ValueError, match="'x0' has no class label"):
             build_database(corpus)
 
@@ -721,6 +722,43 @@ class TestLoadValidity:
         path.write_text(f'{{"checksum":"{digest}",{signed[1:]}')
         with pytest.raises(DatabaseFormatError, match=r"document has unknown keys \['checksum'\]"):
             load_database(path)
+
+    @pytest.mark.parametrize(
+        "key, bad, message",
+        [
+            ("id", "x", r"signature id 'x' is not benign/r1/<n>"),
+            ("id", "benign/r1/01", r"'benign/r1/01' is not benign/r1/<n>"),
+            ("id", "benign/r1/-1", r"'benign/r1/-1' is not benign/r1/<n>"),
+            ("id", "benign/r1/+1", r"'benign/r1/\+1' is not benign/r1/<n>"),
+            ("id", "benign/r1/ 1", r"'benign/r1/ 1' is not benign/r1/<n>"),
+            ("id", "benign/r1/", r"'benign/r1/' is not benign/r1/<n>"),
+            ("id", "benign/r1/\u0661", r"is not benign/r1/<n>"),  # an Arabic-Indic one
+            ("id", "benign/r2/0", r"'benign/r2/0' is not benign/r1/<n>"),
+            ("round_tag", "r9", r"signature id 'benign/r1/0' is not benign/r9/<n>"),
+            ("label", "famA", r"signature id 'benign/r1/0' is not famA/r1/<n>"),
+            ("label", "", r"signature 'benign/r1/0' has an empty label"),
+        ],
+        ids=["free", "zero-padded", "negative", "plus", "space", "no-ordinal", "non-ascii-digit",
+             "other-tag", "round-tag", "other-label", "empty-label"],
+    )
+    def test_id_not_as_saved_rejected(self, saved, key, bad, message):
+        """The saver writes ``label/round_tag/n``; another id would re-sort the signatures."""
+        path, doc, _ = saved
+        assert doc["signatures"][0]["id"] == "benign/r1/0"
+        doc["signatures"][0][key] = bad
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=message):
+            load_database(path)
+
+    def test_any_canonical_ordinal_loads(self, saved, tmp_path):
+        path, doc, _ = saved
+        doc["signatures"][0]["id"] = "benign/r1/10"
+        _resign(path, doc)
+        loaded = load_database(path)
+        ids = [sig.signature_id for sig in loaded.signatures]
+        assert ids == ["benign/r1/10", "famA/r2/0", "famB/r2/0"]
+        save_database(loaded, tmp_path / "again.sigdb.json")
+        assert load_database(tmp_path / "again.sigdb.json") == loaded
 
     def test_duplicate_signature_id_rejected(self, saved):
         path, doc, _ = saved

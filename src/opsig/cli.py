@@ -49,11 +49,21 @@ def _flag(parse: Callable[[str], Any], check: Callable[[Any], Any]) -> Callable[
     return convert
 
 
+def _number(text: str) -> int | float | str:
+    """``text`` as an ``int``, else as a ``float``, else as itself, for a setting check to judge."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
 _RETAIN = _flag(float, check_retain_fraction)
 _EPS = _flag(lambda text: text.split(","), validate_eps_schedule)
-_MIN_PTS = _flag(int, lambda value: check_integer("min_pts", value, 1))
-_SEED = _flag(int, lambda value: check_integer("seed", value, 0))
-_K = _flag(int, lambda value: check_integer("k", value, 2))
+_MIN_PTS = _flag(_number, lambda value: check_integer("min_pts", value, 1))
+_SEED = _flag(_number, lambda value: check_integer("seed", value, 0))
+_K = _flag(_number, lambda value: check_integer("k", value, 2))
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:

@@ -8,13 +8,14 @@ kept as singleton groups.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .csvtext import csv_text
-from .errors import UnknownSampleError, VocabularyMismatchError, check_integer
+from .errors import UnknownSampleError, VocabularyMismatchError, check_integer, check_real
 from .opgraph import (
     OpcodeGraph,
     OpcodeVocabulary,
@@ -102,8 +103,7 @@ def dbscan(matrix: DistanceMatrix, eps: float, min_pts: int) -> np.ndarray:
     border point joins the first cluster that reaches it, which pins down its
     otherwise ambiguous assignment.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    eps = check_real("eps", eps, 0, math.inf, low_open=True)
     return _dbscan(matrix.values, eps, check_integer("min_pts", min_pts, 1))
 
 

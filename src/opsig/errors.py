@@ -1,12 +1,14 @@
-"""Exception types shared across the package, and its one integer-setting check.
+"""Exception types shared across the package, and its setting checks.
 
 Every domain error derives from ``OpsigError``. A bad setting passed by a
-caller (a fold count, a seed, a point count) is a ``ValueError`` instead, and
-``check_integer`` is the one rule for the integer ones; the CLI reports the
-same message as a usage error.
+caller (a fold count, a seed, a point count, a fraction) is a ``ValueError``
+instead: ``check_integer`` is the one rule for the integer ones,
+``check_real`` for the real-valued ones and ``check_pair`` for a setting
+made of two values. The CLI reports the same message as a usage error.
 """
 
-from numbers import Integral
+from collections.abc import Collection
+from numbers import Integral, Real
 
 
 def check_integer(name: str, value: object, minimum: int) -> int:
@@ -21,6 +23,30 @@ def check_integer(name: str, value: object, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value: object, low: float, high: float, low_open: bool = False) -> float:
+    """``value`` as a ``float`` if it is a real number from ``low`` to ``high``.
+
+    numpy numbers pass, a ``bool`` or a string does not. Both ends are
+    allowed, except ``low`` when ``low_open``; NaN never is. Anything else is
+    a ``ValueError`` naming ``name`` and the interval. Not exported: the
+    modules holding real-valued settings call it.
+    """
+    real = type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
+    if real and (low < value if low_open else low <= value) and value <= high:
+        return float(value)
+    interval = f"{'(' if low_open else '['}{low}, {high}]"
+    rule = "positive" if interval == "(0, inf]" else f"in {interval}"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_pair(name: str, value: object) -> tuple[object, object]:
+    """``value``'s two items if it holds exactly two and is no string, else a ``ValueError``."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Collection) or len(value) != 2:
+        raise ValueError(f"{name} must be a pair of values, got {value!r}")
+    first, second = value
+    return first, second
 
 
 class OpsigError(Exception):

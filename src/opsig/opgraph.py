@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpusError, EmptySampleError, VocabularyMismatchError
+from .errors import EmptyCorpusError, EmptySampleError, VocabularyMismatchError, check_real
 from .ingest import OpcodeSequence
 
 Bigram = tuple[str, str]
@@ -183,10 +183,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def check_retain_fraction(retain_fraction: float) -> float:
-    """``retain_fraction`` as a ``float``, if it lies in (0, 1] and is no ``bool``."""
-    if isinstance(retain_fraction, bool) or not 0.0 < retain_fraction <= 1.0:  # also NaN
-        raise ValueError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
-    return float(retain_fraction)
+    """``retain_fraction`` as a ``float``, if ``errors.check_real`` finds it in (0, 1]."""
+    return check_real("retain_fraction", retain_fraction, 0, 1, low_open=True)
 
 
 def _rank_and_cut(

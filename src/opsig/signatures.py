@@ -5,7 +5,9 @@ they were a single sample: ``build_database``, the one way to make them (with
 ``train_database``, its form for an already coded corpus), sums the members'
 retained-count rows and row-normalises the sum. The database
 bundles all per-class signatures with the shared vocabulary and is stored as
-a single versioned, checksummed JSON document with deterministic byte layout.
+a single versioned, checksummed JSON document with deterministic byte layout,
+which the saver writes, with the canonical text its checksum is taken over,
+in one pass over the signatures.
 A file in that layout loads with one JSON decode: its checksum is checked over
 the very bytes that are decoded, so the payload is never re-encoded.
 """
@@ -20,6 +22,7 @@ import secrets
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -232,41 +235,123 @@ def train_database(
     return SignatureDatabase(vocab, tuple(signatures), metadata)
 
 
-def _database_payload(db: SignatureDatabase) -> dict[str, object]:
-    vocab = db.vocabulary
-    cells = np.stack([vocab.cell_rows, vocab.cell_cols], axis=1).tolist()
-    keys = [str(i) for i in range(vocab.size)]
-    entries = []
-    for sig in db.signatures:
-        rows: dict[str, dict[str, float]] = {}
-        vector = sig.graph.vector
-        nonzero = np.flatnonzero(vector)
-        for slot, weight in zip(nonzero.tolist(), vector[nonzero].tolist()):
-            r, c = cells[slot]
-            rows.setdefault(keys[r], {})[keys[c]] = weight
-        entries.append(
-            {
-                "id": sig.signature_id,
-                "label": sig.class_label,
-                "member_count": sig.member_count,
-                "round_tag": sig.round_tag,
-                "rows": rows,
-            }
-        )
-    return {
-        "version": FORMAT_VERSION,
-        "metadata": db.metadata,
-        "vocabulary": {
-            "opcodes": list(vocab.opcodes),
-            "retain_fraction": vocab.retain_fraction,
-            "retained_bigrams": cells,
-        },
-        "signatures": entries,
-    }
-
-
 def _canonical_text(payload: dict[str, object]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _arrays(compact: list[str], indented: list[str], level: int) -> tuple[str, str]:
+    """A JSON array of encoded items: compact, and as ``indent=2`` writes it at depth ``level``."""
+    if not compact:
+        return "[]", "[]"
+    inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
+    return f"[{','.join(compact)}]", f"[{inner}{(',' + inner).join(indented)}{outer}]"
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's names for them
+
+# each text's line break before a row key and before a column key, key separator, row close
+# and row-map close, as ``json.dumps`` writes a signature's row map in each text
+_ROW_MAP_STYLES = (
+    ("", "", ":", "}", "}"),
+    ("\n        ", "\n          ", ": ", "\n        }", "\n      }"),
+)
+
+
+def _row_maps(db: SignatureDatabase, keys: np.ndarray) -> list[list[str]]:
+    """Each signature's sparse row map as JSON text: compact, then indented as in the document.
+
+    Cells come in JSON key order, row key then column key, compared as
+    strings (so ``"10"`` sorts before ``"2"``), and each distinct weight is
+    formatted once for both texts. A cell's text is its weight preceded by a
+    head: a comma and its column key, and at the first cell of a row also the
+    row's key, after the previous row's close. ``keys`` holds each index's
+    quoted key.
+    """
+    vocab, count = db.vocabulary, len(db.signatures)
+    rank = np.empty(vocab.size, dtype=np.intp)
+    rank[sorted(range(vocab.size), key=str)] = np.arange(vocab.size)
+    order = np.argsort(rank[vocab.cell_rows] * vocab.size + rank[vocab.cell_cols])
+    vectors = np.zeros((count, len(order)))
+    for i, sig in enumerate(db.signatures):
+        vectors[i] = sig.graph.vector[order]
+    owner, position = np.nonzero(vectors)
+    distinct, inverse = np.unique(vectors[owner, position], return_inverse=True)
+    texts = list(map(float.__repr__, distinct.tolist()))  # as json.dumps writes each float
+    if not np.isfinite(distinct).all():
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    weights = np.array(texts, dtype=object)[inverse].tolist()
+    row, col = vocab.cell_rows[order][position], vocab.cell_cols[order][position]
+    first = np.diff(owner, prepend=-1) != 0  # a signature's first cell
+    opens = first | (np.diff(row, prepend=-1) != 0)  # a row's first cell
+    later = opens & ~first
+    bounds = np.searchsorted(owner, np.arange(count + 1)).tolist()
+    row_maps = []
+    for row_break, col_break, colon, row_close, close in _ROW_MAP_STYLES:
+        heads = ("," + col_break + keys + colon)[col]
+        heads[opens] = (
+            row_break + keys[row[opens]] + colon + "{" + col_break + keys[col[opens]] + colon
+        )
+        heads[later] = row_close + "," + heads[later]
+        heads = heads.tolist()
+        row_maps.append([
+            "{" + "".join(chain.from_iterable(zip(heads[a:b], weights[a:b]))) + row_close + close
+            if a < b else "{}"
+            for a, b in zip(bounds, bounds[1:])
+        ])
+    return row_maps
+
+
+def _document(db: SignatureDatabase) -> str:
+    """The text ``save_database`` writes, built straight from ``db``.
+
+    It is ``json.dumps(dict(payload, checksum=h), sort_keys=True, indent=2)``
+    plus a newline, where ``payload`` is the database as a JSON object and
+    ``h`` the SHA-256 of ``_canonical_text(payload)``. Both texts are written
+    side by side in one pass over the signatures, and no payload is built:
+    json's indented encoder is pure Python. Only ``metadata``, which may hold
+    any JSON value, goes through ``json.dumps``; its indented text is nested
+    one level deeper by indenting every line break, exact because JSON text
+    holds no raw newline.
+    """
+    vocab = db.vocabulary
+    numbers = np.array([str(i) for i in range(vocab.size)], dtype=object)
+    row_maps = _row_maps(db, '"' + numbers + '"')
+    entries_compact, entries_indented = [], []
+    for sig, rows_compact, rows_indented in zip(db.signatures, *row_maps):
+        fields = (_quote(sig.signature_id), _quote(sig.class_label), sig.member_count,
+                  _quote(sig.round_tag))
+        entries_compact.append(
+            '{"id":%s,"label":%s,"member_count":%d,"round_tag":%s,"rows":' % fields
+            + rows_compact + "}"
+        )
+        entries_indented.append(
+            '{\n      "id": %s,\n      "label": %s,\n      "member_count": %d,\n'
+            '      "round_tag": %s,\n      "rows": ' % fields + rows_indented + "\n    }"
+        )
+    signatures = _arrays(entries_compact, entries_indented, 1)
+    opcodes = list(map(_quote, vocab.opcodes))
+    opcodes = _arrays(opcodes, opcodes, 2)
+    firsts, seconds = numbers[vocab.cell_rows], numbers[vocab.cell_cols]
+    bigrams = _arrays(
+        ("[" + firsts + "," + seconds + "]").tolist(),
+        ("[\n        " + firsts + ",\n        " + seconds + "\n      ]").tolist(),
+        2,
+    )
+    retain = json.dumps(vocab.retain_fraction)
+    compact = (
+        '{"metadata":%s,"signatures":%s,"version":%d,"vocabulary":{"opcodes":%s,'
+        '"retain_fraction":%s,"retained_bigrams":%s}}'
+        % (json.dumps(db.metadata, sort_keys=True, separators=(",", ":")), signatures[0],
+           FORMAT_VERSION, opcodes[0], retain, bigrams[0])
+    )
+    checksum = hashlib.sha256(compact.encode("utf-8")).hexdigest()
+    metadata = json.dumps(db.metadata, sort_keys=True, indent=2).replace("\n", "\n  ")
+    return (
+        '{\n  "checksum": "%s",\n  "metadata": %s,\n  "signatures": %s,\n  "version": %d,\n'
+        '  "vocabulary": {\n    "opcodes": %s,\n    "retain_fraction": %s,\n'
+        '    "retained_bigrams": %s\n  }\n}\n'
+        % (checksum, metadata, signatures[1], FORMAT_VERSION, opcodes[1], retain, bigrams[1])
+    )
 
 
 def save_database(db: SignatureDatabase, path: str | Path) -> None:
@@ -275,13 +360,11 @@ def save_database(db: SignatureDatabase, path: str | Path) -> None:
     The document goes to a temporary file beside ``path`` that then replaces
     it, so a failed or interrupted save leaves any previous database intact.
     """
-    payload = _database_payload(db)
-    checksum = hashlib.sha256(_canonical_text(payload).encode("utf-8")).hexdigest()
-    document = dict(payload, checksum=checksum)
+    text = _document(db)
     path = Path(path)
     temp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     try:
-        temp.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        temp.write_text(text, encoding="utf-8")
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import check_integer
+from .errors import check_integer, check_pair, check_real
 from .ingest import BENIGN_LABEL, OPS_SUFFIX, OpcodeSequence, format_mnemonic_lines
 
 # Chains are sparse by construction: each model mostly walks an "active"
@@ -128,8 +128,7 @@ def derive_subfamily(
 
     perturbation 0 returns the base unchanged; 1 replaces it entirely.
     """
-    if not 0.0 <= perturbation <= 1.0:
-        raise ValueError(f"perturbation must lie in [0, 1], got {perturbation}")
+    perturbation = check_real("perturbation", perturbation, 0, 1)
     fresh = make_family_model(base.alphabet, seed)
     initial = (1.0 - perturbation) * base.initial + perturbation * fresh.initial
     transition = (1.0 - perturbation) * base.transition + perturbation * fresh.transition
@@ -192,12 +191,12 @@ class CorpusConfig:
         for name in ("families", "subfamilies_per_family", "samples_per_subfamily",
                      "benign_sources", "samples_per_benign_source", "alphabet_size"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
-        low, high = self.length_range
+        low, high = check_pair("length_range", self.length_range)
         low = check_integer("length_range low end", low, 2)
         high = check_integer("length_range high end", high, low)
         object.__setattr__(self, "length_range", (low, high))
-        if not 0.0 <= self.subfamily_perturbation <= 1.0:
-            raise ValueError("subfamily_perturbation must lie in [0, 1]")
+        perturbation = check_real("subfamily_perturbation", self.subfamily_perturbation, 0, 1)
+        object.__setattr__(self, "subfamily_perturbation", perturbation)
         object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
 
 
@@ -275,10 +274,10 @@ def write_corpus(
     """Write the ``<root>/<label>/<sample_id>.ops`` layout plus manifest.json."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
+    for label in {seq.label or "unlabeled" for seq in samples}:  # each directory once
+        (root / label).mkdir(parents=True, exist_ok=True)
     for seq in samples:
-        label_dir = root / (seq.label or "unlabeled")
-        label_dir.mkdir(parents=True, exist_ok=True)
-        (label_dir / f"{seq.sample_id}{OPS_SUFFIX}").write_text(
+        (root / (seq.label or "unlabeled") / f"{seq.sample_id}{OPS_SUFFIX}").write_text(
             format_mnemonic_lines(seq), encoding="utf-8"
         )
     (root / MANIFEST_NAME).write_text(

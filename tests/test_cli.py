@@ -67,10 +67,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "command, flag, value, message",
         [
-            ("eval", "--k", "2.5", "invalid literal for int() with base 10: '2.5'"),
+            ("eval", "--k", "2.5", "k must be an integer, got 2.5"),
             ("eval", "--k", "1", "k must be >= 2, got 1"),
-            ("train", "--seed", "1.5", "invalid literal for int() with base 10: '1.5'"),
-            ("train", "--min-pts", "x", "invalid literal for int() with base 10: 'x'"),
+            ("train", "--seed", "1.5", "seed must be an integer, got 1.5"),
+            ("eval", "--seed", "nan", "seed must be an integer, got nan"),
+            ("train", "--min-pts", "x", "min_pts must be an integer, got 'x'"),
+            ("train", "--min-pts", "2.0", "min_pts must be an integer, got 2.0"),
             ("train", "--retain", "abc", "could not convert string to float: 'abc'"),
             ("train", "--eps", "0.2,0.1", "eps values must be strictly increasing, got (0.2, 0.1)"),
         ],

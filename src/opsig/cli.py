@@ -60,7 +60,7 @@ def _number(text: str) -> int | float | str:
 
 
 _RETAIN = _flag(float, check_retain_fraction)
-_EPS = _flag(lambda text: text.split(","), validate_eps_schedule)
+_EPS = _flag(lambda text: [float(value) for value in text.split(",")], validate_eps_schedule)
 _MIN_PTS = _flag(_number, lambda value: check_integer("min_pts", value, 1))
 _SEED = _flag(_number, lambda value: check_integer("seed", value, 0))
 _K = _flag(_number, lambda value: check_integer("k", value, 2))

@@ -137,14 +137,20 @@ def _dbscan(values: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
 
 def validate_eps_schedule(values: Iterable[float]) -> tuple[float, ...]:
-    """Check an eps schedule: each value in (0, 1], strictly increasing."""
-    eps_values = tuple(float(v) for v in values)
-    for value in eps_values:
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"eps values must lie in (0, 1], got {value}")
+    """Check an eps schedule: each value in (0, 1], strictly increasing.
+
+    Each value must pass ``errors.check_real``, so a ``bool``, a string or
+    ``None`` is rejected like a value outside (0, 1], as a ``ValueError``.
+    """
+    eps_values: list[float] = []
+    for value in values:
+        try:
+            eps_values.append(check_real("eps", value, 0, 1, low_open=True))
+        except ValueError:
+            raise ValueError(f"eps values must lie in (0, 1], got {value!r}") from None
     if any(b <= a for a, b in zip(eps_values, eps_values[1:])):
-        raise ValueError(f"eps values must be strictly increasing, got {eps_values}")
-    return eps_values
+        raise ValueError(f"eps values must be strictly increasing, got {tuple(eps_values)}")
+    return tuple(eps_values)
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,25 @@ Two input shapes are supported: a mnemonic-per-line text format used for
 corpus storage, and linear disassembly listings whose instruction lines look
 like ``<addr>: <hex bytes> <mnemonic> [operands]``. A loaded corpus keeps one
 string per distinct opcode, shared by every sample that holds it.
+
+A sample carries its opcodes as integers too, as ``OpcodeSequence.coding``.
+A producer that already holds them (``load_corpus``, and the generator's
+walk) stores them where the sample is made; a sample built by hand codes its
+opcodes on first use. Counting consumers read the coding, so they map a
+sample's few names, not its every opcode.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .errors import EmptyCorpusError, EmptySampleError, ParseError
 
@@ -37,6 +49,40 @@ class OpcodeSequence:
 
     def __len__(self) -> int:
         return len(self.opcodes)
+
+    @cached_property
+    def coding(self) -> tuple[Sequence[str], np.ndarray]:
+        """``(names, codes)`` with ``names[codes[k]] == opcodes[k]``; ``codes`` is read-only.
+
+        ``codes`` has the smallest unsigned dtype that indexes ``names``. A
+        name may repeat in ``names``, and one name may stand for an equal but
+        distinct string, so a consumer maps names by value. Not a field: it
+        takes no part in ``==``, ``hash`` or ``repr``. A sample built by hand
+        codes its distinct opcodes in order of first appearance on first use.
+        """
+        code = defaultdict(count().__next__)
+        codes = np.fromiter(map(code.__getitem__, self.opcodes), np.intp, len(self.opcodes))
+        return tuple(code), _code_array(codes, len(code))
+
+    @classmethod
+    def _coded(
+        cls, sample_id: str, names: Sequence[str], codes: Sequence[int], label: str | None = None
+    ) -> "OpcodeSequence":
+        """The sample whose opcode ``k`` is ``names[codes[k]]``, with that coding stored."""
+        codes = _code_array(codes, len(names))
+        seq = cls(sample_id, tuple(np.array(names, dtype=object).take(codes).tolist()), label)
+        seq.__dict__["coding"] = (names, codes)  # what ``cached_property`` would store
+        return seq
+
+
+def _code_array(codes: Sequence[int], size: int) -> np.ndarray:
+    """``codes`` as a read-only array of the smallest unsigned dtype that indexes ``size`` names.
+
+    An array that already has that dtype is used as it is.
+    """
+    array = np.asarray(codes, dtype=np.min_scalar_type(max(size - 1, 0)))
+    array.setflags(write=False)
+    return array
 
 
 def normalize_mnemonic(token: str) -> str:
@@ -134,16 +180,18 @@ def load_corpus(root: str | Path) -> list[OpcodeSequence]:
 
     Samples are returned sorted by label then sample id; sample ids must be
     unique across the whole tree. The corpus keeps one string per distinct
-    opcode: each parsed mnemonic is mapped through a table local to this call,
-    so every sample's tuple holds the first instance of each opcode and the
-    strings that parsing made are freed as loading goes on.
+    opcode: each parsed mnemonic is coded through one table local to this
+    call, so the strings that parsing made are freed as loading goes on. Each
+    sample's tuple is then gathered from the table's names, the first
+    instance of each opcode, and the sample keeps those codes as its
+    ``coding``.
     """
     root = Path(root)
     if not root.is_dir():
         raise EmptyCorpusError(f"corpus root {root} is not a directory")
-    samples = []
+    coded = []
     seen: dict[str, str] = {}
-    table: dict[str, str] = {}
+    code = defaultdict(count().__next__)  # opcode -> code, in order of first appearance
     for label_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         label = label_dir.name
         for ops_file in sorted(label_dir.glob(f"*{OPS_SUFFIX}")):
@@ -154,7 +202,10 @@ def load_corpus(root: str | Path) -> list[OpcodeSequence]:
                 )
             seen[sample_id] = label
             ops = _mnemonics(_read_sample_text(ops_file), sample_id)
-            samples.append(OpcodeSequence(sample_id, tuple(map(table.setdefault, ops, ops)), label))
-    if not samples:
+            codes = np.fromiter(map(code.__getitem__, ops), np.uint32, len(ops))
+            coded.append((sample_id, _code_array(codes, len(code)), label))
+    if not coded:
         raise EmptyCorpusError(f"no samples found under {root}")
-    return samples
+    names = tuple(code)
+    return [OpcodeSequence._coded(sample_id, names, codes, label)
+            for sample_id, codes, label in coded]

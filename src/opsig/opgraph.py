@@ -26,12 +26,15 @@ scores the same bits alone as inside any table.
 
 Both classification and training code opcodes as integers, and every bigram
 finds its graph-vector slot through one method, ``OpcodeVocabulary.slot_of``.
-Training codes a whole corpus once with ``code_corpus`` and takes its
-vocabularies and count rows from that coding; ``graph_for_sequence`` codes
-one sample. ``build_graph`` takes the same counts as a dict keyed by bigram,
-as ``count_bigrams`` and ``merge_counts`` give them; ``count_bigrams`` codes
-one sample's opcodes in order of first appearance and counts its pair codes
-with one ``np.unique``. A count dict's key order is not part of its contract.
+Each sample carries its opcodes' codes from where it was made
+(``OpcodeSequence.coding``), so counting maps a sample's names, not its
+opcodes. Training maps a whole corpus onto one table with ``code_corpus`` and
+takes its vocabularies and count rows from it; ``graph_for_sequence`` codes
+one freshly parsed sample against the vocabulary directly. ``build_graph``
+takes the same counts as a dict keyed by bigram, as ``count_bigrams`` and
+``merge_counts`` give them; ``count_bigrams`` counts the pair codes of one
+sample's coding with one ``np.unique``. A count dict's key order is not part
+of its contract.
 """
 
 from __future__ import annotations
@@ -71,31 +74,31 @@ class BigramCounts:
             raise ValueError("bigram counts must be >= 1")
 
 
-def _opcodes(seq: OpcodeSequence) -> tuple[str, ...]:
-    """``seq.opcodes``, which must not be empty."""
+def _checked(seq: OpcodeSequence) -> OpcodeSequence:
+    """``seq``, which must hold an opcode."""
     if not seq.opcodes:
         raise EmptySampleError(f"sample {seq.sample_id!r} has no opcodes")
-    return seq.opcodes
+    return seq
 
 
 def count_bigrams(seq: OpcodeSequence) -> BigramCounts:
     """Count adjacent opcode pairs; a sequence of length L has L - 1 of them.
 
-    Opcodes are coded as integers in order of first appearance, and the pair
-    ids ``first * width + second`` (width: the sample's distinct opcodes) are
+    The pair ids ``first * width + second`` of the sample's ``coding`` (its
+    names mapped by value to distinct codes; width: the distinct names) are
     counted with one ``np.unique``, so a key tuple is built per distinct pair,
     not per occurrence. Keys and counts are those of
     ``Counter(zip(opcodes, opcodes[1:]))``; the dict's key order is not part
     of the result.
     """
-    opcodes = _opcodes(seq)
+    names, codes = _checked(seq).coding
     code = defaultdict(count().__next__)
-    codes = np.fromiter(map(code.__getitem__, opcodes), np.int64, len(opcodes))
-    names, width = list(code), len(code)
+    local = np.fromiter(map(code.__getitem__, names), np.intp, len(names))
+    codes, keys, width = local[codes], list(code), len(code)
     pair_ids, counts = np.unique(codes[:-1] * width + codes[1:], return_counts=True)
     firsts, seconds = np.divmod(pair_ids, width)
-    pairs = zip(map(names.__getitem__, firsts.tolist()), map(names.__getitem__, seconds.tolist()))
-    return BigramCounts(dict(zip(pairs, counts.tolist())), len(opcodes) - 1)
+    pairs = zip(map(keys.__getitem__, firsts.tolist()), map(keys.__getitem__, seconds.tolist()))
+    return BigramCounts(dict(zip(pairs, counts.tolist())), len(codes) - 1)
 
 
 def merge_counts(parts: Iterable[BigramCounts]) -> BigramCounts:
@@ -223,7 +226,9 @@ def build_vocabulary(
 class CodedCorpus:
     """Every sample's bigram counts, coded once as integers.
 
-    ``opcodes`` is the corpus's sorted opcode table; row ``k`` of ``bigram_codes``
+    ``opcodes`` is the corpus's sorted opcode table: every name of the samples'
+    codings, so it may hold a name that no sample uses (an alphabet name no
+    walk reached), which no bigram then holds. Row ``k`` of ``bigram_codes``
     holds the table indices of distinct bigram ``k``, in lexicographic order.
     Sample ``i`` has ``counts[j]`` occurrences of distinct bigram ``pairs[j]``
     for each ``j`` in ``range(offsets[i], offsets[i + 1])``.
@@ -285,12 +290,22 @@ def _vocabulary_codes(opcodes: Iterable[str], vocab: OpcodeVocabulary, length: i
 
 
 def code_corpus(samples: Sequence[OpcodeSequence]) -> CodedCorpus:
-    """Code every sample's opcodes against one sorted table and count its bigrams."""
-    table = sorted(set().union(*map(_opcodes, samples)))
-    code, width = {op: i for i, op in enumerate(table)}.__getitem__, len(table)
+    """Map every sample's ``coding`` onto one sorted table and count its bigrams.
+
+    The table holds every name of every sample's coding, by value. A sample
+    maps its names to table indices through a dict, once per distinct names
+    sequence, then gathers its codes through them.
+    """
+    codings = [sample.coding for sample in map(_checked, samples)]
+    tables = {id(names): names for names, _ in codings}  # samples often share one names tuple
+    table = sorted(set().union(*tables.values()))
+    position, width = {op: i for i, op in enumerate(table)}.__getitem__, len(table)
+    indices = {
+        key: np.fromiter(map(position, names), np.int64, len(names)) for key, names in tables.items()
+    }
     sample_pairs, sample_counts = [], []
-    for sample in samples:
-        codes = np.fromiter(map(code, sample.opcodes), np.int64, len(sample.opcodes))
+    for names, codes in codings:
+        codes = indices[id(names)][codes]  # int64, so the pair ids cannot overflow
         pairs, counts = np.unique(codes[:-1] * width + codes[1:], return_counts=True)
         sample_pairs.append(pairs)
         sample_counts.append(counts)
@@ -400,7 +415,7 @@ def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGr
 
 def graph_for_sequence(seq: OpcodeSequence, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:
     """``build_graph(count_bigrams(seq), vocab)``, each opcode pair looked up by ``slot_of``."""
-    codes = _vocabulary_codes(_opcodes(seq), vocab, len(seq.opcodes))
+    codes = _vocabulary_codes(_checked(seq).opcodes, vocab, len(seq.opcodes))
     slots = vocab.slot_of(codes[:-1], codes[1:])
     kept = slots[slots >= 0]
     (graph,) = normalized_graphs([np.bincount(kept, minlength=len(vocab.flat_cells))], vocab)

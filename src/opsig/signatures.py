@@ -443,7 +443,34 @@ def _known_keys(obj: dict, keys: frozenset[str], name: str) -> dict:
 _PAYLOAD_KEYS = frozenset({"version", "metadata", "vocabulary", "signatures"})
 _VOCABULARY_KEYS = frozenset({"opcodes", "retain_fraction", "retained_bigrams"})
 _ENTRY_KEYS = frozenset({"id", "label", "member_count", "round_tag", "rows"})
+_METADATA_KEYS = frozenset({"retain_fraction", "eps_schedule", "min_pts", "seed", "signature_mode"})
+_SIGNATURE_MODES = ("clustered", MONOLITHIC_TAG)
 _ORDINAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def _check_metadata(metadata: dict, vocab: OpcodeVocabulary) -> dict:
+    """``metadata`` if it holds what ``train_database`` writes for a database over ``vocab``.
+
+    Its settings must pass ``check_settings``, whose ``ValueError`` the loader reports.
+    """
+    if metadata.keys() != _METADATA_KEYS:
+        raise DatabaseFormatError(
+            f"metadata keys must be {sorted(_METADATA_KEYS)}, got {sorted(metadata)}"
+        )
+    check_settings(
+        metadata["retain_fraction"], _typed(metadata["eps_schedule"], (list,), "eps_schedule"),
+        metadata["min_pts"], metadata["seed"],
+    )
+    if metadata["retain_fraction"] != vocab.retain_fraction:
+        raise DatabaseFormatError(
+            f"metadata retain_fraction {metadata['retain_fraction']!r} differs from the "
+            f"vocabulary's {vocab.retain_fraction!r}"
+        )
+    if metadata["signature_mode"] not in _SIGNATURE_MODES:
+        raise DatabaseFormatError(
+            f"signature_mode must be one of {_SIGNATURE_MODES}, got {metadata['signature_mode']!r}"
+        )
+    return metadata
 
 
 def load_database(path: str | Path) -> SignatureDatabase:
@@ -517,7 +544,7 @@ def load_database(path: str | Path) -> SignatureDatabase:
             )
             for entry, vector in zip(entries, _signature_vectors(entries, vocab))
         ]
-        metadata = _typed(data["metadata"], (dict,), "metadata")
+        metadata = _check_metadata(_typed(data["metadata"], (dict,), "metadata"), vocab)
         db = SignatureDatabase(vocab, tuple(signatures), metadata)
         for sig in db.signatures:  # as the saver writes them, so they re-save in the same order
             prefix = f"{sig.class_label}/{sig.round_tag}/"

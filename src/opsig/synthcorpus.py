@@ -152,7 +152,8 @@ def sample_sequence(
 
     Each state is ``bisect_right`` of one uniform draw on a cumulative row,
     with the CDFs held as Python lists. ``hi=top`` clamps a draw beyond the
-    last entry of a row summing to less than 1 to the last opcode.
+    last entry of a row summing to less than 1 to the last opcode. The
+    sample's ``coding`` is the walk's states against ``model.alphabet``.
     """
     length = check_integer("length", length, 2)
     draws = _rng(seed).random(length).tolist()
@@ -163,8 +164,8 @@ def sample_sequence(
     for draw in draws[1:]:
         state = bisect_right(transition_cdf[state], draw, 0, top)
         states.append(state)
-    opcodes = tuple(model.alphabet[s] for s in states)
-    return OpcodeSequence(sample_id, opcodes, label if label is not None else model.family_label)
+    label = label if label is not None else model.family_label
+    return OpcodeSequence._coded(sample_id, model.alphabet, states, label)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,17 @@ TABLE1_SEQ2 = (
 )
 
 
+def trained_metadata(vocab: OpcodeVocabulary) -> dict[str, object]:
+    """Database metadata as training writes it for ``vocab``; the loader accepts no other."""
+    return {
+        "retain_fraction": vocab.retain_fraction,
+        "eps_schedule": [0.01, 0.1],
+        "min_pts": 3,
+        "seed": 7,
+        "signature_mode": "clustered",
+    }
+
+
 def make_vocab(size: int, retain: float = 1.0) -> OpcodeVocabulary:
     """Toy vocabulary of ``size`` opcodes with every bigram retained."""
     opcodes = tuple(f"OP{i:03d}" for i in range(size))

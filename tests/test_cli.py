@@ -378,3 +378,24 @@ class TestCsvQuoting:
         rows = _csv_rows(capsys.readouterr().out)
         assert {len(row) for row in rows} == {5}
         assert {row[1] for row in rows[1:]} == set(self.LABELS)
+
+
+class TestEpsFlag:
+    """``--eps`` parses to floats, then every value goes through the library's check."""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0.1,abc", "could not convert string to float: 'abc'"),
+            ("true", "could not convert string to float: 'true'"),
+            ("0.1,nan", "eps values must lie in (0, 1], got nan"),
+            ("0,0.1", "eps values must lie in (0, 1], got 0.0"),
+        ],
+    )
+    def test_bad_eps_exits_2_without_traceback(self, value, message, tiny_corpus, tmp_path, capsys):
+        out = tmp_path / "db.sigdb.json"
+        assert dispatch(["train", "--corpus", str(tiny_corpus), "--db", str(out), "--eps", value]) == 2
+        err = capsys.readouterr().err
+        assert f"error: argument --eps: {message}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -8,6 +8,7 @@ for every database, valid or not.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,8 @@ from opsig.signatures import (
     save_database,
 )
 from opsig.synthcorpus import CorpusConfig, generate_corpus
+
+from helpers import trained_metadata
 
 
 def database_payload(db: SignatureDatabase) -> dict[str, object]:
@@ -124,6 +127,7 @@ def test_written_bytes_equal_the_indented_dump(db, tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(db=databases(normalised=True))
 def test_valid_database_loads_back_equal(db, tmp_path_factory):
+    db = replace(db, metadata=trained_metadata(db.vocabulary))  # the loader checks metadata
     path = tmp_path_factory.mktemp("writer") / "db.sigdb.json"
     save_database(db, path)
     assert path.read_bytes() == reference_document(db)
@@ -132,7 +136,7 @@ def test_valid_database_loads_back_equal(db, tmp_path_factory):
 
 def test_database_without_signatures(tmp_path):
     vocab = OpcodeVocabulary(("A", "B"), frozenset({("A", "B")}), 0.9)
-    db = SignatureDatabase(vocab, (), {"seed": 7})
+    db = SignatureDatabase(vocab, (), trained_metadata(vocab))
     save_database(db, tmp_path / "empty.sigdb.json")
     assert (tmp_path / "empty.sigdb.json").read_bytes() == reference_document(db)
     assert load_database(tmp_path / "empty.sigdb.json") == db

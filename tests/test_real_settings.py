@@ -10,9 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from opsig.clusterer import DistanceMatrix, dbscan
+from opsig.clusterer import DistanceMatrix, dbscan, validate_eps_schedule
 from opsig.errors import check_pair, check_real
-from opsig.synthcorpus import CorpusConfig, default_alphabet, derive_subfamily, make_family_model
+from opsig.signatures import build_database
+from opsig.synthcorpus import (
+    CorpusConfig,
+    default_alphabet,
+    derive_subfamily,
+    generate_corpus,
+    make_family_model,
+)
 
 _MATRIX = DistanceMatrix(("a", "b"), np.array([[0.0, 0.05], [0.05, 0.0]]))
 _BASE = make_family_model(default_alphabet(6), 1)
@@ -79,3 +86,39 @@ def test_pair_items_returned(value):
 def test_non_pairs_rejected(value):
     with pytest.raises(ValueError, match="^length_range must be a pair of values, got "):
         check_pair("length_range", value)
+
+
+class TestEpsSchedule:
+    """``validate_eps_schedule`` checks each value with ``check_real`` and keeps its own message."""
+
+    @pytest.mark.parametrize(
+        "schedule, kept",
+        [([0.01, 0.1], (0.01, 0.1)), ([np.float64(0.5), 1], (0.5, 1.0)), ((), ())],
+    )
+    def test_real_values_kept_as_floats(self, schedule, kept):
+        checked = validate_eps_schedule(schedule)
+        assert checked == kept and all(type(value) is float for value in checked)
+
+    @pytest.mark.parametrize(
+        "schedule, shown",
+        [((True,), "True"), (["0.1", "0.5"], "'0.1'"), ([None], "None"), ([0.1, math.nan], "nan")],
+        ids=["bool", "strings", "none", "nan"],
+    )
+    def test_non_real_value_rejected_as_value_error(self, schedule, shown):
+        with pytest.raises(ValueError) as caught:
+            validate_eps_schedule(schedule)
+        assert str(caught.value) == f"eps values must lie in (0, 1], got {shown}"
+
+    def test_out_of_range_and_order_messages_unchanged(self):
+        with pytest.raises(ValueError, match=r"^eps values must lie in \(0, 1\], got 1\.5$"):
+            validate_eps_schedule([0.5, 1.5])
+        with pytest.raises(ValueError, match=r"^eps values must be strictly increasing"):
+            validate_eps_schedule([0.2, 0.1])
+
+    def test_training_rejects_string_schedule(self):
+        samples, _ = generate_corpus(CorpusConfig(
+            families=1, subfamilies_per_family=1, samples_per_subfamily=3,
+            benign_sources=1, samples_per_benign_source=3, alphabet_size=6, length_range=(20, 30),
+        ))
+        with pytest.raises(ValueError, match=r"^eps values must lie in \(0, 1\], got '0\.1'$"):
+            build_database(samples, eps_schedule=["0.1"])

@@ -622,6 +622,7 @@ class TestLoadValidity:
         """Files saved before the vocabulary stored a float may hold an integer."""
         path, doc, _ = saved
         doc["vocabulary"]["retain_fraction"] = 1
+        doc["metadata"]["retain_fraction"] = 1  # training records the vocabulary's fraction
         _resign(path, doc)
         retain_fraction = load_database(path).vocabulary.retain_fraction
         assert type(retain_fraction) is float and retain_fraction == 1.0
@@ -860,3 +861,58 @@ class TestAtomicSave:
             save_database(new, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["b.sigdb.json"]
+
+
+class TestLoadMetadata:
+    """The loader accepts only the metadata that training writes, checked as training checks it."""
+
+    @pytest.fixture
+    def doc(self):
+        return json.loads((DATA / "saved_v1.sigdb.json").read_text())
+
+    def _load(self, tmp_path, doc):
+        path = tmp_path / "m.sigdb.json"
+        _resign(path, doc)
+        return load_database(path)
+
+    def test_saved_metadata_loads(self, doc, tmp_path):
+        assert self._load(tmp_path, doc).metadata == doc["metadata"]
+
+    def test_monolithic_database_loads(self, tmp_path):
+        db = build_database(validity_corpus(), monolithic=True)
+        save_database(db, tmp_path / "mono.sigdb.json")
+        loaded = load_database(tmp_path / "mono.sigdb.json")
+        assert loaded == db and loaded.metadata["signature_mode"] == "monolithic"
+
+    @pytest.mark.parametrize(
+        "key, bad, message",
+        [
+            ("eps_schedule", [0, 0], r"eps values must lie in \(0, 1\], got 0$"),
+            ("eps_schedule", ["0.1"], r"eps values must lie in \(0, 1\], got '0\.1'$"),
+            ("eps_schedule", [0.1, 0.01], r"eps values must be strictly increasing"),
+            ("eps_schedule", "0.1", r"eps_schedule must be list, got '0\.1'$"),
+            ("min_pts", "0", r"min_pts must be an integer, got '0'$"),
+            ("min_pts", 0, r"min_pts must be >= 1, got 0$"),
+            ("seed", "x", r"seed must be an integer, got 'x'$"),
+            ("seed", True, r"seed must be an integer, got True$"),
+            ("retain_fraction", "0.9", r"retain_fraction must be in \(0, 1\], got '0\.9'$"),
+            ("retain_fraction", 0.5, r"metadata retain_fraction 0\.5 differs from the "
+                                     r"vocabulary's 0\.9$"),
+            ("signature_mode", "nonsense", r"signature_mode must be one of \('clustered', "
+                                           r"'monolithic'\), got 'nonsense'$"),
+        ],
+    )
+    def test_bad_value_rejected(self, doc, tmp_path, key, bad, message):
+        doc["metadata"][key] = bad
+        with pytest.raises(DatabaseFormatError, match=message):
+            self._load(tmp_path, doc)
+
+    def test_extra_key_rejected(self, doc, tmp_path):
+        doc["metadata"]["note"] = "hand-edited"
+        with pytest.raises(DatabaseFormatError, match=r"metadata keys must be \[.*\], got \[.*'note'"):
+            self._load(tmp_path, doc)
+
+    def test_missing_key_rejected(self, doc, tmp_path):
+        del doc["metadata"]["seed"]
+        with pytest.raises(DatabaseFormatError, match=r"metadata keys must be \["):
+            self._load(tmp_path, doc)

@@ -27,7 +27,13 @@ from opsig.opgraph import (
 )
 from opsig.signatures import Signature, SignatureDatabase, load_database, save_database
 
-from helpers import make_vocab, naive_graph_distance, random_graph, reference_distance
+from helpers import (
+    make_vocab,
+    naive_graph_distance,
+    random_graph,
+    reference_distance,
+    trained_metadata,
+)
 
 OPCODES = tuple(f"OP{i}" for i in range(6))
 FOREIGN = ("XX", "YY")  # opcodes outside every vocabulary
@@ -333,7 +339,7 @@ def test_database_round_trip_preserves_vectors(case):
     signatures = tuple(
         Signature(f"c/r1/{i}", "c", g, 1, "r1") for i, g in enumerate(sig_graphs)
     )
-    db = SignatureDatabase(vocab, signatures, {})
+    db = SignatureDatabase(vocab, signatures, trained_metadata(vocab))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.sigdb.json"
         save_database(db, path)

@@ -9,8 +9,9 @@ kept as singleton groups.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -139,9 +140,12 @@ def _dbscan(values: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 def validate_eps_schedule(values: Iterable[float]) -> tuple[float, ...]:
     """Check an eps schedule: each value in (0, 1], strictly increasing.
 
-    Each value must pass ``errors.check_real``, so a ``bool``, a string or
-    ``None`` is rejected like a value outside (0, 1], as a ``ValueError``.
+    The schedule must be an iterable other than a string or ``bytes``, read
+    once. Each value must pass ``errors.check_real``, so a ``bool``, a string
+    or ``None`` is rejected like a value outside (0, 1], as a ``ValueError``.
     """
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ValueError(f"eps_schedule must be a sequence of numbers, got {values!r}")
     eps_values: list[float] = []
     for value in values:
         try:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifier import classify_batch
-from .clusterer import DEFAULT_EPS_SCHEDULE, DEFAULT_MIN_PTS, compute_distance_matrix
+from .clusterer import compute_distance_matrix
 from .csvtext import csv_text
 from .errors import (
     EmptyCorpusError,
@@ -27,22 +27,12 @@ from .errors import (
     check_integer,
 )
 from .ingest import BENIGN_LABEL, OpcodeSequence
-from .opgraph import DEFAULT_RETAIN_FRACTION, CodedCorpus, code_corpus, normalized_graphs
-from .signatures import DEFAULT_SEED, SignatureDatabase, check_settings, train_database
+from .opgraph import CodedCorpus, code_corpus, normalized_graphs
+from .signatures import DEFAULT_SEED, EvalConfig, SignatureDatabase, train_database
 
 DEFAULT_K = 5
 
 MALWARE_BUCKET = "malware"
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Pipeline knobs shared by every fold of an experiment."""
-
-    retain_fraction: float = DEFAULT_RETAIN_FRACTION
-    eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
-    min_pts: int = DEFAULT_MIN_PTS
-    monolithic: bool = False
 
 
 @dataclass(frozen=True)
@@ -193,8 +183,7 @@ def run_crossval(
     out of the matrices and counted in ``diagnostics["empty_test_graphs"]``.
     Every setting is checked before the corpus is coded.
     """
-    config = config or EvalConfig()
-    check_settings(config.retain_fraction, config.eps_schedule, config.min_pts, seed)
+    config = (config or EvalConfig()).checked(seed)
     plan = stratified_kfold(corpus, k, seed)
     return _crossval(corpus, plan, code_corpus(corpus), config)
 
@@ -213,10 +202,7 @@ def _crossval(
         try:
             train = [i for i in range(len(corpus)) if folds[i] != fold]
             test = [i for i in range(len(corpus)) if folds[i] == fold]
-            db = train_database(
-                coded, corpus, train, config.retain_fraction, config.eps_schedule,
-                config.min_pts, plan.seed, config.monolithic,
-            )
+            db = train_database(coded, corpus, train, config, plan.seed)
             rows, dropped = coded.count_rows(test, db.vocabulary)
             dropped_test += int(dropped.sum())
             batch = [
@@ -297,8 +283,7 @@ def baseline_comparison(
     config: EvalConfig | None = None,
 ) -> BaselineComparison:
     """Evaluate identical folds twice, clustered and monolithic, from one plan and one coding."""
-    config = config or EvalConfig()
-    check_settings(config.retain_fraction, config.eps_schedule, config.min_pts, seed)
+    config = (config or EvalConfig()).checked(seed)
     plan = stratified_kfold(corpus, k, seed)
     coded = code_corpus(corpus)
     clustered = _crossval(corpus, plan, coded, replace(config, monolithic=False))

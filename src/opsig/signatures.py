@@ -164,19 +164,26 @@ def build_class_signatures(
     return signatures
 
 
-def check_settings(
-    retain_fraction: float, eps_schedule: Iterable[float], min_pts: int, seed: int
-) -> tuple[float, ...]:
-    """The eps schedule as a tuple, once every training setting is checked.
+@dataclass(frozen=True)
+class EvalConfig:
+    """The training settings of a database, and of every fold of an experiment."""
 
-    ``min_pts`` and ``seed`` are checked by ``errors.check_integer``; a bad
-    setting is a ``ValueError``. Not exported: ``evaluation`` calls it too.
-    """
-    eps_values = validate_eps_schedule(eps_schedule)
-    check_integer("min_pts", min_pts, 1)
-    check_integer("seed", seed, 0)
-    check_retain_fraction(retain_fraction)
-    return eps_values
+    retain_fraction: float = DEFAULT_RETAIN_FRACTION
+    eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
+    min_pts: int = DEFAULT_MIN_PTS
+    monolithic: bool = False
+
+    def checked(self, seed: int) -> EvalConfig:
+        """This config with every setting checked and normalised, ``seed`` included.
+
+        The schedule is read once, into a tuple of floats, then ``min_pts``,
+        ``seed`` and ``retain_fraction`` are checked; a bad one is a ``ValueError``.
+        """
+        eps_schedule = validate_eps_schedule(self.eps_schedule)
+        min_pts = check_integer("min_pts", self.min_pts, 1)
+        check_integer("seed", seed, 0)
+        retain_fraction = check_retain_fraction(self.retain_fraction)
+        return EvalConfig(retain_fraction, eps_schedule, min_pts, self.monolithic)
 
 
 def build_database(
@@ -193,44 +200,39 @@ def build_database(
     (benign included); classes are then processed in sorted label order.
     Each class's samples are clustered in ``sample_id`` order, so the result
     does not depend on the order of ``samples``. ``seed`` is only recorded
-    in the metadata. In either mode, a setting that ``check_settings``
+    in the metadata. In either mode, a setting that ``EvalConfig.checked``
     rejects is a ``ValueError``, raised before the corpus is coded.
     """
     if not samples:
         raise EmptyCorpusError("cannot train on an empty corpus")
-    check_settings(retain_fraction, eps_schedule, min_pts, seed)
-    return train_database(
-        code_corpus(samples), samples, range(len(samples)), retain_fraction, eps_schedule,
-        min_pts, seed, monolithic,
-    )
+    config = EvalConfig(retain_fraction, eps_schedule, min_pts, monolithic).checked(seed)
+    return train_database(code_corpus(samples), samples, range(len(samples)), config, seed)
 
 
 def train_database(
     coded: CodedCorpus,
     samples: Sequence[OpcodeSequence],
     positions: Sequence[int],
-    retain_fraction: float,
-    eps_schedule: Iterable[float],
-    min_pts: int,
+    config: EvalConfig,
     seed: int,
-    monolithic: bool,
 ) -> SignatureDatabase:
-    """``build_database`` over the samples at ``positions`` of ``samples``, coded as ``coded``."""
-    eps_values = check_settings(retain_fraction, eps_schedule, min_pts, seed)
-    vocab, classes = class_rows(coded, samples, positions, retain_fraction)
+    """``build_database`` on the coded samples at ``positions``, with ``config`` checked."""
+    vocab, classes = class_rows(coded, samples, positions, config.retain_fraction)
     signatures: list[Signature] = []
     for label, rows in classes:
-        if monolithic:
+        if config.monolithic:
             if rows.any():  # a class with no retained bigram would get a weightless signature
                 signatures.append(build_signature(rows, vocab, label, MONOLITHIC_TAG, 0))
         else:
-            signatures += build_class_signatures(rows, vocab, label, eps_values, min_pts)
+            signatures += build_class_signatures(
+                rows, vocab, label, config.eps_schedule, config.min_pts
+            )
     metadata: dict[str, object] = {
         "retain_fraction": vocab.retain_fraction,
-        "eps_schedule": list(eps_values),
-        "min_pts": int(min_pts),
+        "eps_schedule": list(config.eps_schedule),
+        "min_pts": config.min_pts,
         "seed": int(seed),
-        "signature_mode": MONOLITHIC_TAG if monolithic else "clustered",
+        "signature_mode": MONOLITHIC_TAG if config.monolithic else "clustered",
     }
     return SignatureDatabase(vocab, tuple(signatures), metadata)
 
@@ -448,27 +450,43 @@ _SIGNATURE_MODES = ("clustered", MONOLITHIC_TAG)
 _ORDINAL = re.compile(r"0|[1-9][0-9]*")
 
 
-def _check_metadata(metadata: dict, vocab: OpcodeVocabulary) -> dict:
-    """``metadata`` if it holds what ``train_database`` writes for a database over ``vocab``.
+def _check_metadata(
+    metadata: dict, vocab: OpcodeVocabulary, signatures: Sequence[Signature]
+) -> dict:
+    """``metadata`` if it holds what ``train_database`` writes for ``signatures`` over ``vocab``.
 
-    Its settings must pass ``check_settings``, whose ``ValueError`` the loader reports.
+    Its settings must pass ``EvalConfig.checked``, whose ``ValueError`` the
+    loader reports. A ``monolithic`` database holds at most one signature per
+    class, each tagged ``monolithic``; a ``clustered`` one holds no such tag.
     """
     if metadata.keys() != _METADATA_KEYS:
         raise DatabaseFormatError(
             f"metadata keys must be {sorted(_METADATA_KEYS)}, got {sorted(metadata)}"
         )
-    check_settings(
+    EvalConfig(
         metadata["retain_fraction"], _typed(metadata["eps_schedule"], (list,), "eps_schedule"),
-        metadata["min_pts"], metadata["seed"],
-    )
+        metadata["min_pts"],
+    ).checked(metadata["seed"])
     if metadata["retain_fraction"] != vocab.retain_fraction:
         raise DatabaseFormatError(
             f"metadata retain_fraction {metadata['retain_fraction']!r} differs from the "
             f"vocabulary's {vocab.retain_fraction!r}"
         )
-    if metadata["signature_mode"] not in _SIGNATURE_MODES:
+    mode = metadata["signature_mode"]
+    if mode not in _SIGNATURE_MODES:
+        raise DatabaseFormatError(f"signature_mode must be one of {_SIGNATURE_MODES}, got {mode!r}")
+    tags = {sig.round_tag for sig in signatures}
+    if mode == MONOLITHIC_TAG:
+        if tags - {MONOLITHIC_TAG}:
+            raise DatabaseFormatError(
+                f"signature_mode 'monolithic' needs every round tag {MONOLITHIC_TAG!r}, "
+                f"got {sorted(tags)}"
+            )
+        if len({sig.class_label for sig in signatures}) != len(signatures):
+            raise DatabaseFormatError("signature_mode 'monolithic' allows one signature per class")
+    elif MONOLITHIC_TAG in tags:
         raise DatabaseFormatError(
-            f"signature_mode must be one of {_SIGNATURE_MODES}, got {metadata['signature_mode']!r}"
+            f"signature_mode 'clustered' allows no round tag {MONOLITHIC_TAG!r}"
         )
     return metadata
 
@@ -524,7 +542,7 @@ def load_database(path: str | Path) -> SignatureDatabase:
         )
         if len(set(opcodes)) != len(opcodes):
             raise DatabaseFormatError("duplicate opcodes in the vocabulary")
-        pairs = vocab_doc["retained_bigrams"]
+        pairs = _typed(vocab_doc["retained_bigrams"], (list,), "retained_bigrams")
         indices = _all_typed(list(chain.from_iterable(pairs)), int, "bigram indices")
         retained = frozenset((opcodes[i], opcodes[j]) for i, j in pairs)
         if indices and (min(indices) < 0 or max(indices) >= len(opcodes)):
@@ -533,7 +551,10 @@ def load_database(path: str | Path) -> SignatureDatabase:
             raise DatabaseFormatError("a retained bigram is listed twice")
         retain_fraction = _typed(vocab_doc["retain_fraction"], (int, float), "retain_fraction")
         vocab = OpcodeVocabulary(opcodes, retained, float(retain_fraction))
-        entries = [_known_keys(entry, _ENTRY_KEYS, "a signature") for entry in data["signatures"]]
+        entries = [
+            _known_keys(entry, _ENTRY_KEYS, "a signature")
+            for entry in _typed(data["signatures"], (list,), "signatures")
+        ]
         signatures = [
             Signature(
                 _typed(entry["id"], (str,), "id"),
@@ -544,7 +565,7 @@ def load_database(path: str | Path) -> SignatureDatabase:
             )
             for entry, vector in zip(entries, _signature_vectors(entries, vocab))
         ]
-        metadata = _check_metadata(_typed(data["metadata"], (dict,), "metadata"), vocab)
+        metadata = _check_metadata(_typed(data["metadata"], (dict,), "metadata"), vocab, signatures)
         db = SignatureDatabase(vocab, tuple(signatures), metadata)
         for sig in db.signatures:  # as the saver writes them, so they re-save in the same order
             prefix = f"{sig.class_label}/{sig.round_tag}/"

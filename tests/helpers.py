@@ -6,6 +6,7 @@ oracles: a textbook region-query DBSCAN, a pair-counting adjusted Rand index,
 a double-loop graph distance and a plain-loop graph builder.
 """
 
+import copy
 from collections import Counter
 
 import numpy as np
@@ -32,6 +33,15 @@ def trained_metadata(vocab: OpcodeVocabulary) -> dict[str, object]:
         "seed": 7,
         "signature_mode": "clustered",
     }
+
+
+def monolithic_document(doc: dict) -> dict:
+    """A copy of ``doc``, one signature per class, tagged as monolithic training tags it."""
+    doc = copy.deepcopy(doc)
+    doc["metadata"]["signature_mode"] = "monolithic"
+    for entry in doc["signatures"]:
+        entry["round_tag"], entry["id"] = "monolithic", f"{entry['label']}/monolithic/0"
+    return doc
 
 
 def make_vocab(size: int, retain: float = 1.0) -> OpcodeVocabulary:

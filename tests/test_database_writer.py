@@ -3,16 +3,20 @@
 ``save_database`` builds its document text straight from the signatures. The
 reference here is the payload dict the saver used to build, dumped with
 ``json.dumps(..., sort_keys=True, indent=2)``; both must give the same bytes
-for every database, valid or not.
+for every database, valid or not. The loader, in turn, accepts an edited
+document only if the database it gives has exactly the document's payload.
 """
 
+import copy
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from opsig.errors import DatabaseError
 from opsig.opgraph import OpcodeGraph, OpcodeVocabulary
 from opsig.signatures import (
     FORMAT_VERSION,
@@ -25,7 +29,7 @@ from opsig.signatures import (
 )
 from opsig.synthcorpus import CorpusConfig, generate_corpus
 
-from helpers import trained_metadata
+from helpers import monolithic_document, trained_metadata
 
 
 def database_payload(db: SignatureDatabase) -> dict[str, object]:
@@ -151,3 +155,56 @@ def test_trained_database_past_ten_opcodes(tmp_path):
     assert db.vocabulary.size > 10
     save_database(db, tmp_path / "trained.sigdb.json")
     assert (tmp_path / "trained.sigdb.json").read_bytes() == reference_document(db)
+
+
+def _nodes(node, path=()):
+    """Every value in the JSON tree ``node`` with its path of keys, ``node`` itself first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _nodes(child, (*path, key))
+
+
+_SAVED = json.loads((Path(__file__).parent / "data" / "saved_v1.sigdb.json").read_text())
+_DOCUMENTS = (_SAVED, monolithic_document(_SAVED))
+
+
+@st.composite
+def edited_documents(draw):
+    """A saved document with one value replaced, or one key or item deleted, or one key added.
+
+    A new value is an arbitrary JSON value, a small number or any value of
+    the document itself, so that many edited documents are still valid.
+    """
+    doc = copy.deepcopy(draw(st.sampled_from(_DOCUMENTS)))
+    nodes = list(_nodes(doc))
+    values = st.one_of(
+        _JSON, st.integers(-1, 12), st.floats(0, 1),
+        st.sampled_from([n for _, n in nodes]).map(copy.deepcopy),
+    )
+    node = draw(st.sampled_from([n for _, n in nodes if type(n) is dict or type(n) is list and n]))
+    keys = list(node) if type(node) is dict else list(range(len(node)))
+    edits = ["add"] if type(node) is dict else []
+    edit = draw(st.sampled_from(edits + ["replace", "delete"] * bool(keys)))
+    if edit == "add":
+        names = sorted({str(key) for path, _ in nodes for key in path})
+        node[draw(st.sampled_from(names) | _AWKWARD)] = draw(values)
+    elif edit == "delete":
+        del node[draw(st.sampled_from(keys))]
+    else:
+        node[draw(st.sampled_from(keys))] = draw(values)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=edited_documents())
+def test_edited_document_fails_or_loads_its_payload(doc, tmp_path_factory):
+    payload = {key: value for key, value in doc.items() if key != "checksum"}
+    checksum = hashlib.sha256(_canonical_text(payload).encode("utf-8")).hexdigest()
+    path = tmp_path_factory.mktemp("edited") / "db.sigdb.json"
+    path.write_text(json.dumps(dict(payload, checksum=checksum), sort_keys=True, indent=2))
+    try:
+        db = load_database(path)
+    except DatabaseError:
+        return
+    assert database_payload(db) == payload

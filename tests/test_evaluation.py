@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opsig import evaluation
+import opsig
+from opsig import evaluation, signatures
 from opsig.errors import EmptySampleError, FoldPlanError, OpsigError, SimilarityTableError
 from opsig.evaluation import (
     ConfusionMatrix,
@@ -23,8 +24,9 @@ from opsig.evaluation import (
     write_crossval_reports,
 )
 from opsig.ingest import OpcodeSequence
-from opsig.signatures import build_database
+from opsig.signatures import build_database, save_database
 from opsig.synthcorpus import (
+    CorpusConfig,
     default_alphabet,
     generate_corpus,
     make_family_model,
@@ -138,6 +140,9 @@ class TestConfusionMatrix:
 
 
 class TestRunCrossval:
+    def test_config_is_the_one_that_training_checks(self):
+        assert opsig.EvalConfig is evaluation.EvalConfig is signatures.EvalConfig
+
     def test_identical_copies_give_perfect_scores(self):
         result = run_crossval(
             constant_corpus(), k=5, seed=7, config=EvalConfig(retain_fraction=1.0)
@@ -197,6 +202,9 @@ class TestRunCrossval:
         [
             {"retain_fraction": True},
             {"eps_schedule": (0.1, 0.01)},
+            {"eps_schedule": 0.1},
+            {"eps_schedule": None},
+            {"eps_schedule": "0.1"},
             {"min_pts": 0},
             {"min_pts": 1.5},
             {"seed": -1},
@@ -286,6 +294,42 @@ class TestBaselineComparison:
         comparison = baseline_comparison(corpus, k=4, seed=2)
         assert comparison.clustered.multiclass.total == comparison.monolithic.multiclass.total
         assert comparison.clustered.seed == comparison.monolithic.seed == 2
+
+
+class TestOneShotSchedule:
+    """An eps schedule given as an iterator is read once, and trains as its list does."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return generate_corpus(CorpusConfig(
+            families=2, subfamilies_per_family=2, samples_per_subfamily=6, benign_sources=2,
+            samples_per_benign_source=5, length_range=(200, 400),
+        ))[0]
+
+    @staticmethod
+    def reports(result):
+        return (render_summary(result), result.multiclass.to_csv(), result.binary.to_csv(),
+                result.metrics.to_csv(), result.diagnostics)
+
+    def test_database_saves_the_same_bytes(self, samples, tmp_path):
+        for name, schedule in (("list", [0.01, 0.1]), ("iterator", iter([0.01, 0.1]))):
+            save_database(build_database(samples, eps_schedule=schedule), tmp_path / name)
+        assert (tmp_path / "iterator").read_bytes() == (tmp_path / "list").read_bytes()
+
+    def test_crossval_reports_the_same(self, samples):
+        results = [run_crossval(samples, k=5, seed=7, config=EvalConfig(eps_schedule=schedule))
+                   for schedule in ([0.01, 0.1], iter([0.01, 0.1]))]
+        assert self.reports(results[1]) == self.reports(results[0])
+        assert results[1].config.eps_schedule == (0.01, 0.1)
+
+    def test_comparison_reports_the_same(self, samples):
+        comparisons = [
+            baseline_comparison(samples, k=5, seed=7, config=EvalConfig(eps_schedule=schedule))
+            for schedule in ([0.01, 0.1], iter([0.01, 0.1]))
+        ]
+        for lane in ("clustered", "monolithic"):
+            lanes = [getattr(comparison, lane) for comparison in comparisons]
+            assert self.reports(lanes[1]) == self.reports(lanes[0])
 
 
 @pytest.fixture(scope="module")

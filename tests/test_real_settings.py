@@ -122,3 +122,8 @@ class TestEpsSchedule:
         ))
         with pytest.raises(ValueError, match=r"^eps values must lie in \(0, 1\], got '0\.1'$"):
             build_database(samples, eps_schedule=["0.1"])
+        for schedule in ("0.1", b"0.1", 0.1, None):  # read whole, not value by value
+            with pytest.raises(ValueError) as caught:
+                build_database(samples, eps_schedule=schedule)
+            message = f"eps_schedule must be a sequence of numbers, got {schedule!r}"
+            assert str(caught.value) == message

@@ -34,6 +34,8 @@ from opsig.synthcorpus import (
     sample_sequence,
 )
 
+from helpers import monolithic_document
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -42,6 +44,9 @@ BAD_SETTINGS = [
     {"retain_fraction": 0.0},
     {"retain_fraction": True},
     {"eps_schedule": (0.1, 0.01)},
+    {"eps_schedule": 0.1},
+    {"eps_schedule": None},
+    {"eps_schedule": "0.1"},
     {"min_pts": 0},
     {"min_pts": 1.5},
     {"seed": -1},
@@ -781,6 +786,8 @@ class TestLoadValidity:
             (("vocabulary", "opcodes"), "ABCDEF", "opcodes"),  # six one-letter opcodes
             (("vocabulary", "retain_fraction"), "0.9", "retain_fraction"),
             (("vocabulary", "retain_fraction"), True, "retain_fraction"),
+            (("vocabulary", "retained_bigrams"), {}, "retained_bigrams"),
+            (("signatures",), {}, "signatures"),  # an empty object would load as no signatures
             (("metadata",), [], "metadata"),
             (("metadata",), [["seed", 7]], "metadata"),
         ],
@@ -900,10 +907,29 @@ class TestLoadMetadata:
                                      r"vocabulary's 0\.9$"),
             ("signature_mode", "nonsense", r"signature_mode must be one of \('clustered', "
                                            r"'monolithic'\), got 'nonsense'$"),
+            ("signature_mode", "monolithic", r"signature_mode 'monolithic' needs every round tag "
+                                             r"'monolithic', got \['r1', 'r2'\]$"),
         ],
     )
     def test_bad_value_rejected(self, doc, tmp_path, key, bad, message):
         doc["metadata"][key] = bad
+        with pytest.raises(DatabaseFormatError, match=message):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize(
+        "mode, count, message",
+        [
+            ("clustered", 1, r"signature_mode 'clustered' allows no round tag 'monolithic'$"),
+            ("monolithic", 2, r"signature_mode 'monolithic' allows one signature per class$"),
+        ],
+    )
+    def test_monolithic_tags_need_monolithic_mode(self, doc, tmp_path, mode, count, message):
+        doc = monolithic_document(doc)
+        assert self._load(tmp_path, doc).metadata["signature_mode"] == "monolithic"
+        doc["metadata"]["signature_mode"] = mode
+        first = doc["signatures"][0]
+        for n in range(1, count):
+            doc["signatures"].append(dict(first, id=f"{first['label']}/monolithic/{n}"))
         with pytest.raises(DatabaseFormatError, match=message):
             self._load(tmp_path, doc)
 

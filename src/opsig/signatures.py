@@ -6,8 +6,8 @@ they were a single sample: ``build_database``, the one way to make them (with
 retained-count rows and row-normalises the sum. The database
 bundles all per-class signatures with the shared vocabulary and is stored as
 a single versioned, checksummed JSON document with deterministic byte layout,
-which the saver writes, with the canonical text its checksum is taken over,
-in one pass over the signatures.
+which the saver writes as one text, in one pass over the signatures, and signs
+as the loader checks it: with its layout whitespace deleted.
 A file in that layout loads with one JSON decode: its checksum is checked over
 the very bytes that are decoded, so the payload is never re-encoded.
 """
@@ -52,7 +52,6 @@ from .opgraph import (
 )
 
 FORMAT_VERSION = 1
-DB_SUFFIX = ".sigdb.json"
 DEFAULT_SEED = 7
 MONOLITHIC_TAG = "monolithic"
 
@@ -241,33 +240,26 @@ def _canonical_text(payload: dict[str, object]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _arrays(compact: list[str], indented: list[str], level: int) -> tuple[str, str]:
-    """A JSON array of encoded items: compact, and as ``indent=2`` writes it at depth ``level``."""
-    if not compact:
-        return "[]", "[]"
+def _arrays(items: list[str], level: int) -> str:
+    """A JSON array of encoded items, as ``indent=2`` writes it at depth ``level``."""
+    if not items:
+        return "[]"
     inner, outer = "\n" + "  " * (level + 1), "\n" + "  " * level
-    return f"[{','.join(compact)}]", f"[{inner}{(',' + inner).join(indented)}{outer}]"
+    return f"[{inner}{(',' + inner).join(items)}{outer}]"
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's names for them
-
-# each text's line break before a row key and before a column key, key separator, row close
-# and row-map close, as ``json.dumps`` writes a signature's row map in each text
-_ROW_MAP_STYLES = (
-    ("", "", ":", "}", "}"),
-    ("\n        ", "\n          ", ": ", "\n        }", "\n      }"),
-)
+_LAYOUT = b" \t\n\r"  # JSON's layout whitespace, which the checksum does not cover
 
 
-def _row_maps(db: SignatureDatabase, keys: np.ndarray) -> list[list[str]]:
-    """Each signature's sparse row map as JSON text: compact, then indented as in the document.
+def _row_maps(db: SignatureDatabase, keys: np.ndarray) -> list[str]:
+    """Each signature's sparse row map as JSON text, indented as in the document.
 
     Cells come in JSON key order, row key then column key, compared as
     strings (so ``"10"`` sorts before ``"2"``), and each distinct weight is
-    formatted once for both texts. A cell's text is its weight preceded by a
-    head: a comma and its column key, and at the first cell of a row also the
-    row's key, after the previous row's close. ``keys`` holds each index's
-    quoted key.
+    formatted once. A cell's text is its weight preceded by a head: a comma
+    and its column key, and at the first cell of a row also the row's key,
+    after the previous row's close. ``keys`` holds each index's quoted key.
     """
     vocab, count = db.vocabulary, len(db.signatures)
     rank = np.empty(vocab.size, dtype=np.intp)
@@ -287,20 +279,15 @@ def _row_maps(db: SignatureDatabase, keys: np.ndarray) -> list[list[str]]:
     opens = first | (np.diff(row, prepend=-1) != 0)  # a row's first cell
     later = opens & ~first
     bounds = np.searchsorted(owner, np.arange(count + 1)).tolist()
-    row_maps = []
-    for row_break, col_break, colon, row_close, close in _ROW_MAP_STYLES:
-        heads = ("," + col_break + keys + colon)[col]
-        heads[opens] = (
-            row_break + keys[row[opens]] + colon + "{" + col_break + keys[col[opens]] + colon
-        )
-        heads[later] = row_close + "," + heads[later]
-        heads = heads.tolist()
-        row_maps.append([
-            "{" + "".join(chain.from_iterable(zip(heads[a:b], weights[a:b]))) + row_close + close
-            if a < b else "{}"
-            for a, b in zip(bounds, bounds[1:])
-        ])
-    return row_maps
+    heads = (",\n          " + keys + ": ")[col]
+    heads[opens] = "\n        " + keys[row[opens]] + ": {\n          " + keys[col[opens]] + ": "
+    heads[later] = "\n        }," + heads[later]
+    heads = heads.tolist()
+    return [
+        "{" + "".join(chain.from_iterable(zip(heads[a:b], weights[a:b]))) + "\n        }\n      }"
+        if a < b else "{}"
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def _document(db: SignatureDatabase) -> str:
@@ -308,52 +295,44 @@ def _document(db: SignatureDatabase) -> str:
 
     It is ``json.dumps(dict(payload, checksum=h), sort_keys=True, indent=2)``
     plus a newline, where ``payload`` is the database as a JSON object and
-    ``h`` the SHA-256 of ``_canonical_text(payload)``. Both texts are written
-    side by side in one pass over the signatures, and no payload is built:
+    ``h`` the SHA-256 of ``_canonical_text(payload)``. No payload is built:
     json's indented encoder is pure Python. Only ``metadata``, which may hold
-    any JSON value, goes through ``json.dumps``; its indented text is nested
-    one level deeper by indenting every line break, exact because JSON text
-    holds no raw newline.
+    any JSON value, goes through ``json.dumps``; its text is nested one level
+    deeper by indenting every line break, exact because JSON text holds no
+    raw newline. The canonical text is the document after its checksum line,
+    with its ``_LAYOUT`` bytes deleted as the loader deletes them, unless a
+    string holds a space (JSON escapes every other whitespace character).
+    Only then is the document decoded and re-encoded, with ``db.metadata``
+    put back: decoded, its keys would be strings, which may sort otherwise.
     """
     vocab = db.vocabulary
     numbers = np.array([str(i) for i in range(vocab.size)], dtype=object)
-    row_maps = _row_maps(db, '"' + numbers + '"')
-    entries_compact, entries_indented = [], []
-    for sig, rows_compact, rows_indented in zip(db.signatures, *row_maps):
-        fields = (_quote(sig.signature_id), _quote(sig.class_label), sig.member_count,
-                  _quote(sig.round_tag))
-        entries_compact.append(
-            '{"id":%s,"label":%s,"member_count":%d,"round_tag":%s,"rows":' % fields
-            + rows_compact + "}"
-        )
-        entries_indented.append(
-            '{\n      "id": %s,\n      "label": %s,\n      "member_count": %d,\n'
-            '      "round_tag": %s,\n      "rows": ' % fields + rows_indented + "\n    }"
-        )
-    signatures = _arrays(entries_compact, entries_indented, 1)
-    opcodes = list(map(_quote, vocab.opcodes))
-    opcodes = _arrays(opcodes, opcodes, 2)
+    entries = [
+        '{\n      "id": %s,\n      "label": %s,\n      "member_count": %d,\n'
+        '      "round_tag": %s,\n      "rows": %s\n    }'
+        % (_quote(sig.signature_id), _quote(sig.class_label), sig.member_count,
+           _quote(sig.round_tag), rows)
+        for sig, rows in zip(db.signatures, _row_maps(db, '"' + numbers + '"'))
+    ]
     firsts, seconds = numbers[vocab.cell_rows], numbers[vocab.cell_cols]
-    bigrams = _arrays(
-        ("[" + firsts + "," + seconds + "]").tolist(),
-        ("[\n        " + firsts + ",\n        " + seconds + "\n      ]").tolist(),
-        2,
-    )
-    retain = json.dumps(vocab.retain_fraction)
-    compact = (
-        '{"metadata":%s,"signatures":%s,"version":%d,"vocabulary":{"opcodes":%s,'
-        '"retain_fraction":%s,"retained_bigrams":%s}}'
-        % (json.dumps(db.metadata, sort_keys=True, separators=(",", ":")), signatures[0],
-           FORMAT_VERSION, opcodes[0], retain, bigrams[0])
-    )
-    checksum = hashlib.sha256(compact.encode("utf-8")).hexdigest()
-    metadata = json.dumps(db.metadata, sort_keys=True, indent=2).replace("\n", "\n  ")
-    return (
-        '{\n  "checksum": "%s",\n  "metadata": %s,\n  "signatures": %s,\n  "version": %d,\n'
+    bigrams = ("[\n        " + firsts + ",\n        " + seconds + "\n      ]").tolist()
+    body = (  # the document after its checksum line
+        '  "metadata": %s,\n  "signatures": %s,\n  "version": %d,\n'
         '  "vocabulary": {\n    "opcodes": %s,\n    "retain_fraction": %s,\n'
         '    "retained_bigrams": %s\n  }\n}\n'
-        % (checksum, metadata, signatures[1], FORMAT_VERSION, opcodes[1], retain, bigrams[1])
+        % (json.dumps(db.metadata, sort_keys=True, indent=2).replace("\n", "\n  "),
+           _arrays(entries, 1), FORMAT_VERSION, _arrays(list(map(_quote, vocab.opcodes)), 2),
+           json.dumps(vocab.retain_fraction), _arrays(bigrams, 2))
     )
+    strings = chain(
+        [json.dumps(db.metadata, separators=(",", ":"))], vocab.opcodes,
+        *((sig.signature_id, sig.class_label, sig.round_tag) for sig in db.signatures),
+    )
+    if any(" " in text for text in strings):
+        signed = _canonical_text(dict(json.loads("{" + body), metadata=db.metadata)).encode()
+    else:
+        signed = b"{" + body.encode().translate(None, _LAYOUT)
+    return '{\n  "checksum": "%s",\n' % hashlib.sha256(signed).hexdigest() + body
 
 
 def save_database(db: SignatureDatabase, path: str | Path) -> None:
@@ -494,9 +473,9 @@ def _check_metadata(
 def load_database(path: str | Path) -> SignatureDatabase:
     """Load a database file, verifying version, checksum and validity.
 
-    A file as ``save_database`` writes it is decoded once: with its JSON
-    whitespace deleted it reads ``{"checksum":"<hex>",`` followed by the rest
-    of the canonical text the checksum was taken over, so the checksum is
+    A file as ``save_database`` writes it is decoded once: with its ``_LAYOUT``
+    bytes deleted it reads ``{"checksum":"<hex>",`` followed by the rest of
+    the canonical text the checksum was taken over, so the checksum is
     checked over exactly the bytes that are then decoded, and whitespace
     counts as layout even inside a string. Any other file (a string holding
     a space, another layout or key order, an edit) is decoded whole and its
@@ -504,7 +483,7 @@ def load_database(path: str | Path) -> SignatureDatabase:
     version is checked right after decoding, then the document's validity.
     """
     stored = Path(path).read_bytes()
-    compact = stored.translate(None, b" \t\n\r")
+    compact = stored.translate(None, _LAYOUT)
     signed = b"{" + compact[79:]  # 79 = len('{"checksum":"<64 hex digits>",')
     digest = hashlib.sha256(signed).hexdigest().encode("ascii")
     verified = compact[:79] == b'{"checksum":"%s",' % digest
@@ -549,6 +528,8 @@ def load_database(path: str | Path) -> SignatureDatabase:
             raise DatabaseFormatError(f"bigram index outside [0, {len(opcodes)})")
         if len(retained) != len(pairs):
             raise DatabaseFormatError("a retained bigram is listed twice")
+        if sorted(pairs) != pairs:  # the saver lists them in row-major order
+            raise DatabaseFormatError("retained bigrams are not in ascending row-major order")
         retain_fraction = _typed(vocab_doc["retain_fraction"], (int, float), "retain_fraction")
         vocab = OpcodeVocabulary(opcodes, retained, float(retain_fraction))
         entries = [

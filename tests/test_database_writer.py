@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from opsig.errors import DatabaseError
@@ -155,6 +156,33 @@ def test_trained_database_past_ten_opcodes(tmp_path):
     assert db.vocabulary.size > 10
     save_database(db, tmp_path / "trained.sigdb.json")
     assert (tmp_path / "trained.sigdb.json").read_bytes() == reference_document(db)
+
+
+@pytest.mark.parametrize("monolithic, digest", [
+    (False, "1b3ac990723165987bd75fba6a46df6340d0e0a95fd836e685e3094baea66c42"),
+    (True, "1a0a4b0ca8cf392405b90f34caba7f5601bc3024fdc970d160f03362f5089790"),
+])
+def test_database_past_a_hundred_opcodes_pinned(monolithic, digest, tmp_path):
+    # three-digit keys sort between two-digit ones: "10" < "100" < "11"
+    config = CorpusConfig(
+        alphabet_size=200, families=3, subfamilies_per_family=2, samples_per_subfamily=5,
+        benign_sources=4, samples_per_benign_source=3, length_range=(300, 600),
+    )
+    db = build_database(generate_corpus(config)[0], monolithic=monolithic)
+    assert db.vocabulary.size > 100
+    save_database(db, tmp_path / "wide.sigdb.json")
+    assert hashlib.sha256((tmp_path / "wide.sigdb.json").read_bytes()).hexdigest() == digest
+
+
+def test_spaced_label_with_integer_metadata_keys(tmp_path):
+    # json.dumps sorts the keys 9 < 10 and then spells them, while decoded "10" < "9"
+    vocab = OpcodeVocabulary(("A", "B"), frozenset({("A", "B"), ("B", "A")}), 0.9)
+    graph = OpcodeGraph.from_vector(vocab, np.array([1.0, 1.0]))
+    db = SignatureDatabase(
+        vocab, (Signature("fam 0/r1/0", "fam 0", graph, 2, "r1"),), {9: "x", 10: "y"}
+    )
+    save_database(db, tmp_path / "spaced.sigdb.json")
+    assert (tmp_path / "spaced.sigdb.json").read_bytes() == reference_document(db)
 
 
 def _nodes(node, path=()):

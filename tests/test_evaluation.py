@@ -205,6 +205,9 @@ class TestRunCrossval:
             {"eps_schedule": 0.1},
             {"eps_schedule": None},
             {"eps_schedule": "0.1"},
+            {"eps_schedule": {0.01, 0.1}},
+            {"eps_schedule": frozenset({0.01, 0.1})},
+            {"eps_schedule": {0.01: 1, 0.1: 2}},
             {"min_pts": 0},
             {"min_pts": 1.5},
             {"seed": -1},

@@ -122,7 +122,9 @@ class TestEpsSchedule:
         ))
         with pytest.raises(ValueError, match=r"^eps values must lie in \(0, 1\], got '0\.1'$"):
             build_database(samples, eps_schedule=["0.1"])
-        for schedule in ("0.1", b"0.1", 0.1, None):  # read whole, not value by value
+        # read whole, not value by value; a set or a mapping has no order of its own
+        for schedule in ("0.1", b"0.1", 0.1, None, {0.01, 0.1}, frozenset({0.01, 0.1}),
+                         {0.01: 1, 0.1: 2}):
             with pytest.raises(ValueError) as caught:
                 build_database(samples, eps_schedule=schedule)
             message = f"eps_schedule must be a sequence of numbers, got {schedule!r}"

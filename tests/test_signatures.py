@@ -47,6 +47,9 @@ BAD_SETTINGS = [
     {"eps_schedule": 0.1},
     {"eps_schedule": None},
     {"eps_schedule": "0.1"},
+    {"eps_schedule": {0.01, 0.1}},  # no order of its own, even where its values ascend
+    {"eps_schedule": frozenset({0.01, 0.1})},
+    {"eps_schedule": {0.01: 1, 0.1: 2}},
     {"min_pts": 0},
     {"min_pts": 1.5},
     {"seed": -1},
@@ -839,6 +842,15 @@ class TestLoadValidity:
         pairs.append(list(pairs[0]))
         _resign(path, doc)
         with pytest.raises(DatabaseFormatError, match=r"retained bigram is listed twice"):
+            load_database(path)
+
+    def test_retained_bigrams_out_of_order_rejected(self, saved):
+        # the vocabulary keeps them as a set, so this would load and re-save in another order
+        path, doc, _ = saved
+        pairs = doc["vocabulary"]["retained_bigrams"]
+        pairs[0], pairs[1] = pairs[1], pairs[0]
+        _resign(path, doc)
+        with pytest.raises(DatabaseFormatError, match=r"not in ascending row-major order"):
             load_database(path)
 
 

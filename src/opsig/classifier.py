@@ -14,7 +14,6 @@ from .opgraph import OpcodeGraph, same_vocabulary, scaled_l1
 from .signatures import SignatureDatabase
 
 MALWARE_VERDICT = "malware"
-BENIGN_VERDICT = BENIGN_LABEL
 # signatures a prediction ranks: at least 2, so a runner-up shows whenever there is one
 RANKING_LENGTH = 5
 
@@ -108,9 +107,7 @@ def classify_binary(
     if BENIGN_LABEL not in {sig.class_label for sig in db.signatures}:
         raise OpsigError(f"database has no {BENIGN_LABEL!r} class")
     prediction = classify(sample_graph, db, sample_id)
-    verdict = (
-        BENIGN_VERDICT if prediction.predicted_label == BENIGN_LABEL else MALWARE_VERDICT
-    )
+    verdict = BENIGN_LABEL if prediction.predicted_label == BENIGN_LABEL else MALWARE_VERDICT
     return verdict, prediction
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifier import classify_batch
+from .classifier import MALWARE_VERDICT, classify_batch
 from .clusterer import compute_distance_matrix
 from .csvtext import csv_text
 from .errors import (
@@ -31,8 +31,6 @@ from .opgraph import CodedCorpus, code_corpus, normalized_graphs
 from .signatures import DEFAULT_SEED, EvalConfig, SignatureDatabase, train_database
 
 DEFAULT_K = 5
-
-MALWARE_BUCKET = "malware"
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ def stratified_kfold(
     by_label: dict[str, list[str]] = {}
     seen: set[str] = set()
     for sample in corpus:
-        if sample.label is None:
+        if not sample.label:
             raise FoldPlanError(f"sample {sample.sample_id!r} has no class label")
         if sample.sample_id in seen:
             raise FoldPlanError(f"duplicate sample id {sample.sample_id!r} in corpus")
@@ -126,7 +124,7 @@ def binary_from_multiclass(matrix: ConfusionMatrix) -> ConfusionMatrix:
     counts[0, 1] = matrix.counts[malware, benign].sum()
     counts[1, 0] = matrix.counts[benign, malware].sum()
     counts[1, 1] = matrix.counts[benign, benign]
-    return ConfusionMatrix((MALWARE_BUCKET, BENIGN_LABEL), counts)
+    return ConfusionMatrix((MALWARE_VERDICT, BENIGN_LABEL), counts)
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ class MetricsReport:
     ) -> "MetricsReport":
         per_class = {label: multiclass.tpr(label) for label in multiclass.labels}
         macro = float(np.mean(list(per_class.values())))
-        binary_tpr = binary.tpr(MALWARE_BUCKET)
+        binary_tpr = binary.tpr(MALWARE_VERDICT)
         binary_fpr = 1.0 - binary.tpr(BENIGN_LABEL)
         return cls(per_class, macro, binary_tpr, binary_fpr)
 

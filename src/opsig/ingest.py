@@ -161,7 +161,7 @@ def parse_disassembly_listing(
 
 def _read_sample_text(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read sample file {path}: {exc}") from exc
 

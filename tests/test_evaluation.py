@@ -107,10 +107,14 @@ class TestStratifiedKfold:
             assert len(assignment) == n
             assert set(assignment.values()) <= set(range(4))
 
-    def test_unlabeled_sample_rejected(self):
-        corpus = [OpcodeSequence("x", ("MOV",), None)]
-        with pytest.raises(FoldPlanError):
+    @pytest.mark.parametrize("label", [None, ""], ids=["none", "empty"])
+    def test_unlabeled_sample_rejected(self, label):
+        unlabelled = [OpcodeSequence(f"x{i}", ("MOV", "PUSH"), label) for i in range(2)]
+        corpus = self._corpus({"a": 2}) + unlabelled
+        with pytest.raises(FoldPlanError, match="'x0' has no class label"):
             stratified_kfold(corpus, 2)
+        with pytest.raises(FoldPlanError, match="'x0' has no class label"):
+            run_crossval(corpus, k=2)
 
 
 class TestConfusionMatrix:

@@ -210,10 +210,11 @@ class TestLoadCorpus:
         d.mkdir(parents=True, exist_ok=True)
         (d / f"{name}.ops").write_text(text, encoding="utf-8")
 
-    def test_reads_layout_sorted(self, tmp_path):
-        self._write(tmp_path, "famB", "b1", "mov\npush\n")
-        self._write(tmp_path, "famA", "a2", "call\nret\n")
-        self._write(tmp_path, "famA", "a1", "xor\nxor\n")
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_reads_layout_sorted(self, tmp_path, bom):
+        self._write(tmp_path, "famB", "b1", bom + "mov\npush\n")
+        self._write(tmp_path, "famA", "a2", bom + "call\nret\n")
+        self._write(tmp_path, "famA", "a1", bom + "xor\nxor\n")
         samples = load_corpus(tmp_path)
         assert [(s.label, s.sample_id) for s in samples] == [
             ("famA", "a1"), ("famA", "a2"), ("famB", "b1"),
@@ -243,18 +244,20 @@ class TestLoadCorpus:
 
 
 class TestParseSampleFile:
-    def test_lines_format(self, tmp_path):
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_lines_format(self, tmp_path, bom):
         path = tmp_path / "x.ops"
-        path.write_text("mov\npush\n", encoding="utf-8")
+        path.write_text(bom + "mov\npush\n", encoding="utf-8")
         seq = parse_sample_file(path)
         assert seq.sample_id == "x"
         assert seq.opcodes == ("MOV", "PUSH")
 
-    def test_listing_format(self, tmp_path):
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_listing_format(self, tmp_path, bom):
         path = tmp_path / "x.lst"
-        path.write_text("401000: 55 push ebp\n", encoding="utf-8")
+        path.write_text(bom + "401000: 55 push ebp\n401001: 8b ec mov ebp, esp\n", encoding="utf-8")
         seq = parse_sample_file(path, dialect="linear-listing")
-        assert seq.opcodes == ("PUSH",)
+        assert seq.opcodes == ("PUSH", "MOV")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

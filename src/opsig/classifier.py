@@ -9,7 +9,6 @@ import numpy as np
 
 from .csvtext import csv_text
 from .errors import EmptyDatabaseError, EmptyGraphError, OpsigError, VocabularyMismatchError
-from .ingest import BENIGN_LABEL
 from .opgraph import OpcodeGraph, same_vocabulary, scaled_l1
 from .signatures import SignatureDatabase
 
@@ -74,7 +73,7 @@ def _score(
     if scored:
         distances = scaled_l1(db.layout, [samples[i][1].vector for i in scored], vocab.size)
         orders = np.argsort(distances, axis=1, kind="stable")[:, :RANKING_LENGTH]
-        nearest = np.take_along_axis(distances, orders, axis=1)
+        nearest = distances[np.arange(len(orders))[:, None], orders]
         for i, row, order in zip(scored, nearest.tolist(), orders.tolist()):
             ranking = tuple((signatures[j].signature_id, d) for j, d in zip(order, row))
             best = signatures[order[0]]
@@ -98,17 +97,6 @@ def classify(
     if isinstance(result, OpsigError):
         raise result
     return result
-
-
-def classify_binary(
-    sample_graph: OpcodeGraph, db: SignatureDatabase, sample_id: str = "sample"
-) -> tuple[str, Prediction]:
-    """Malware/benign verdict: benign iff the winning signature is benign."""
-    if BENIGN_LABEL not in {sig.class_label for sig in db.signatures}:
-        raise OpsigError(f"database has no {BENIGN_LABEL!r} class")
-    prediction = classify(sample_graph, db, sample_id)
-    verdict = BENIGN_LABEL if prediction.predicted_label == BENIGN_LABEL else MALWARE_VERDICT
-    return verdict, prediction
 
 
 def classify_batch(

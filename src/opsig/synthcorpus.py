@@ -5,12 +5,18 @@ alphabet; each sub-family is a seeded convex perturbation of its base, which
 stands in for a different version of the family codebase. Benign samples come
 from independent unrelated chains. All randomness derives from one root seed,
 so a corpus is a pure function of its config.
+
+A walk steps through a model's step table (``FamilyModel._steps``): per row,
+the columns where its running sum rises and the sum at each, so a uniform
+draw lands on the first column whose sum exceeds it. ``_walk`` advances many
+walks in lock step, one numpy call per step for all of them, and
+``generate_corpus`` walks every sample of a corpus in one such call; each
+walk's own steps stay sequential.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -38,6 +44,10 @@ _SAMPLE_STREAM = 2
 _BENIGN_STREAM = 3
 _LENGTH_STREAM = 4
 
+# Steps of draws a walk takes from its generator per call: few calls, and no
+# draws held for every step of every sample at once.
+_DRAW_BLOCK = 256
+
 _BASE_MNEMONICS = (
     "MOV", "PUSH", "POP", "CALL", "RET", "JMP", "ADD", "SUB",
     "XOR", "CMP", "TEST", "LEA", "JZ", "JNZ", "JE", "JNE",
@@ -50,6 +60,7 @@ _BASE_MNEMONICS = (
 )
 
 SeedPath = Sequence[int]
+_StepTable = tuple[np.ndarray, np.ndarray]
 
 
 def default_alphabet(size: int) -> tuple[str, ...]:
@@ -69,8 +80,7 @@ def _rng(seed: int | SeedPath) -> np.random.Generator:
 class FamilyModel:
     """A Markov opcode source: initial distribution plus transition matrix.
 
-    The arrays are treated as fixed: the first walk caches their cumulative
-    rows.
+    The arrays are treated as fixed: the first walk caches their step table.
     """
 
     family_label: str
@@ -80,12 +90,80 @@ class FamilyModel:
     transition: np.ndarray
 
     @cached_property
-    def _cdfs(self) -> tuple[list[float], list[list[float]]]:
-        """Cumulative initial and transition rows, as Python lists for ``bisect``."""
-        return (
-            np.cumsum(self.initial).tolist(),
-            np.cumsum(self.transition, axis=1).tolist(),
-        )
+    def _steps(self) -> _StepTable:
+        """The step table ``(bounds, targets)``: one row per transition row, then the initial row.
+
+        A row's ``targets`` are the columns below the last opcode where its
+        running sum rises, and its ``bounds`` the running sum at each. Bounds
+        are padded with ``+inf``, and targets, one entry longer, with the last
+        opcode. A draw ``u`` on row ``r`` steps to
+        ``targets[r, count(bounds[r] <= u)]``: the first column whose running
+        sum exceeds ``u``, or the last opcode when no column below it does.
+        That is ``bisect_right(cdf, u, 0, top)``, clamp to the last opcode of a
+        row summing to less than 1 included.
+        """
+        top = len(self.alphabet) - 1
+        cdf = np.cumsum(np.vstack([self.transition, self.initial]), axis=1)[:, :top]
+        rises = np.diff(cdf, axis=1, prepend=0.0) > 0
+        rank = np.cumsum(rises, axis=1) - 1
+        rows, cols = np.nonzero(rises)
+        width = int(rises.sum(axis=1).max())
+        bounds = np.full((top + 2, width), np.inf)
+        targets = np.full((top + 2, width + 1), top, dtype=np.min_scalar_type(top))
+        bounds[rows, rank[rows, cols]] = cdf[rows, cols]
+        targets[rows, rank[rows, cols]] = cols
+        return bounds, targets
+
+
+def _walk(
+    walks: Sequence[tuple[_StepTable, int, int | SeedPath]]
+) -> list[np.ndarray]:
+    """Each walk's states, in input order; all walks advance one step per numpy call.
+
+    A walk is ``(table, length, seed)``, with ``table`` a model's ``_steps``.
+    Step ``k`` of a walk spends uniform draw ``k`` of ``_rng(seed)``: step 0
+    on the table's initial row, each later step on the row of the state
+    before it. The walks are served longest first, so the walks still live
+    at a step are a prefix of that order. Every walk's states come out as a
+    contiguous array of their own, in the smallest unsigned dtype that
+    indexes the largest alphabet.
+    """
+    tables = {id(table): table for table, _, _ in walks}  # each model's table once
+    width = max(own_bounds.shape[1] for own_bounds, _ in tables.values())
+    size = sum(len(own_bounds) for own_bounds, _ in tables.values())
+    # every table side by side and transposed, so a step gathers one column per live walk
+    bounds = np.full((width, size), np.inf)
+    targets = np.zeros((width + 1, size), np.result_type(*(t for _, t in tables.values())))
+    first, end = {}, 0
+    for key, (own_bounds, own_targets) in tables.items():
+        first[key], end = end, end + len(own_bounds)
+        bounds[: own_bounds.shape[1], first[key] : end] = own_bounds.T
+        targets[: own_targets.shape[1], first[key] : end] = own_targets.T
+    targets = targets.ravel()
+
+    order = sorted(range(len(walks)), key=lambda i: -walks[i][1])
+    lengths = [walks[i][1] for i in order]
+    base = np.array([first[id(walks[i][0])] for i in order], dtype=np.intp)
+    rows = base + [len(walks[i][0][0]) - 1 for i in order]  # each table's initial row
+    generators = [_rng(walks[i][2]) for i in order]
+    states = np.empty((lengths[0], len(walks)), targets.dtype)
+    draws = np.empty((min(_DRAW_BLOCK, len(states)), len(walks)))
+    live = len(walks)
+    for step in range(len(states)):
+        while lengths[live - 1] <= step:
+            live -= 1
+        if step % _DRAW_BLOCK == 0:
+            for i in range(live):
+                block = min(_DRAW_BLOCK, lengths[i] - step)
+                draws[:block, i] = generators[i].random(block)
+        rows = rows[:live]
+        count = (bounds.take(rows, axis=1) <= draws[step % _DRAW_BLOCK, :live]).sum(axis=0)
+        states[step, :live] = state = targets.take(count * size + rows)
+        rows = base[:live] + state
+    walked: list[np.ndarray] = [np.empty(0)] * len(walks)
+    for position, i in enumerate(order):
+        walked[i] = states[: lengths[position], position].copy()
+    return walked
 
 
 def make_family_model(
@@ -150,22 +228,15 @@ def sample_sequence(
 ) -> OpcodeSequence:
     """Walk the chain for ``length`` steps; deterministic per seed.
 
-    Each state is ``bisect_right`` of one uniform draw on a cumulative row,
-    with the CDFs held as Python lists. ``hi=top`` clamps a draw beyond the
-    last entry of a row summing to less than 1 to the last opcode. The
-    sample's ``coding`` is the walk's states against ``model.alphabet``.
+    The walk is ``_walk`` of this one sample on the model's step table:
+    state ``k`` is where uniform draw ``k`` of the seed's stream lands on the
+    row of state ``k - 1`` (on the initial row for ``k = 0``). The sample's
+    ``coding`` is the walk's states against ``model.alphabet``.
     """
     length = check_integer("length", length, 2)
-    draws = _rng(seed).random(length).tolist()
-    initial_cdf, transition_cdf = model._cdfs
-    top = len(model.alphabet) - 1
-    state = bisect_right(initial_cdf, draws[0], 0, top)
-    states = [state]
-    for draw in draws[1:]:
-        state = bisect_right(transition_cdf[state], draw, 0, top)
-        states.append(state)
+    (codes,) = _walk([(model._steps, length, seed)])
     label = label if label is not None else model.family_label
-    return OpcodeSequence._coded(sample_id, model.alphabet, states, label)
+    return OpcodeSequence._coded(sample_id, model.alphabet, codes, label)
 
 
 @dataclass(frozen=True)
@@ -206,12 +277,12 @@ DEFAULT_CONFIG = CorpusConfig()
 
 def _sources(
     config: CorpusConfig, alphabet: tuple[str, ...]
-) -> Iterator[tuple[FamilyModel, dict, list[int], int]]:
+) -> Iterator[tuple[_StepTable, dict, list[int], int]]:
     """Each sample source in corpus order, built only when it is reached.
 
-    Yields the source's model, its manifest fields beyond the names, the seed
-    path its samples extend and its sample count. Building lazily keeps only
-    the current model's cached CDF lists alive.
+    Yields the source's step table, its manifest entry, the seed path its
+    samples extend and its sample count. Only the step table outlives the
+    loop's turn; each model's matrices go with it.
     """
     root = config.seed
     for i in range(config.families):
@@ -221,43 +292,47 @@ def _sources(
         for j in range(config.subfamilies_per_family):
             seed = [root, _SUBFAMILY_STREAM, i, j]
             model = derive_subfamily(base, config.subfamily_perturbation, seed, f"{family}-s{j}")
-            fields = {"kind": "malware", "base_seed": base_seed, "model_seed": seed}
-            yield model, fields, [root, _SAMPLE_STREAM, i, j], config.samples_per_subfamily
+            entry = {"label": family, "family": family, "subfamily": model.subfamily_label,
+                     "kind": "malware", "base_seed": base_seed, "model_seed": seed}
+            yield model._steps, entry, [root, _SAMPLE_STREAM, i, j], config.samples_per_subfamily
     for b in range(config.benign_sources):
         seed = [root, _BENIGN_STREAM, b]
         model = make_family_model(alphabet, seed, BENIGN_LABEL, f"{BENIGN_LABEL}-src{b}")
-        fields = {"kind": "benign", "model_seed": seed}
+        entry = {"label": BENIGN_LABEL, "family": BENIGN_LABEL,
+                 "subfamily": model.subfamily_label, "kind": "benign", "model_seed": seed}
         seed_path = [root, _SAMPLE_STREAM, config.families + 1, b]
-        yield model, fields, seed_path, config.samples_per_benign_source
+        yield model._steps, entry, seed_path, config.samples_per_benign_source
 
 
 def generate_corpus(config: CorpusConfig = DEFAULT_CONFIG) -> tuple[list[OpcodeSequence], dict]:
-    """Generate all samples plus a ground-truth manifest, in one pass over the sources.
+    """Generate all samples plus a ground-truth manifest, in one walk over all samples.
 
     Sources come in a fixed order: each family's sub-families, then the
     benign sources. Every benign source behaves like one small sub-family of
     the shared "benign" class and contributes ``samples_per_benign_source``
     samples. Sample ``k`` of a source draws its length and its walk from
-    their own seed streams, so the corpus is a pure function of ``config``.
+    their own seed streams, so the corpus is a pure function of ``config``;
+    one ``_walk`` call then advances every sample's walk together.
     """
     alphabet = default_alphabet(config.alphabet_size)
     low, high = config.length_range
-    samples: list[OpcodeSequence] = []
+    walks: list[tuple[_StepTable, int, list[int]]] = []
     model_entries: list[dict] = []
     sample_entries: list[dict] = []
-    for model, fields, seed_path, count in _sources(config, alphabet):
-        family, subfamily = model.family_label, model.subfamily_label
-        names = {"label": family, "family": family, "subfamily": subfamily}
-        model_entries.append({**names, **fields})
+    for steps, entry, seed_path, count in _sources(config, alphabet):
+        model_entries.append(entry)
+        names = {key: entry[key] for key in ("label", "family", "subfamily")}
         for k in range(count):
             seq_seed = [*seed_path, k]
             length_seed = [config.seed, _LENGTH_STREAM, *seed_path[2:], k]
             length = int(_rng(length_seed).integers(low, high + 1))
-            sample_id = f"{subfamily}-{k:03d}"
-            samples.append(sample_sequence(model, length, seq_seed, sample_id=sample_id))
-            sample_entries.append(
-                {**names, "sample_id": sample_id, "length": length, "sequence_seed": seq_seed}
-            )
+            walks.append((steps, length, seq_seed))
+            sample_entries.append({**names, "sample_id": f"{names['subfamily']}-{k:03d}",
+                                   "length": length, "sequence_seed": seq_seed})
+    samples = [
+        OpcodeSequence._coded(entry["sample_id"], alphabet, codes, entry["label"])
+        for entry, codes in zip(sample_entries, _walk(walks))
+    ]
 
     manifest = {
         "config": {**asdict(config), "length_range": list(config.length_range)},

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from opsig.classifier import RANKING_LENGTH, classify, classify_batch, classify_binary
+from opsig.classifier import RANKING_LENGTH, classify, classify_batch
 from opsig.errors import (
     EmptyDatabaseError,
     EmptyGraphError,
@@ -174,8 +174,6 @@ class TestEmptyGraph:
         db, empty, _ = self._setup()
         with pytest.raises(EmptyGraphError, match=r"sample 'x' has no retained bigram"):
             classify(empty, db, "x")
-        with pytest.raises(EmptyGraphError):
-            classify_binary(empty, db, "x")
 
     def test_batch_returns_error_in_slot(self):
         db, empty, graph = self._setup()
@@ -183,56 +181,6 @@ class TestEmptyGraph:
         assert isinstance(results[1], EmptyGraphError)
         assert results[0] == classify(graph, db, "a")
         assert results[2] == classify(graph, db, "b")
-
-
-class TestClassifyBinary:
-    def _db(self):
-        rng = np.random.default_rng(7)
-        vocab = make_vocab(6)
-        return (
-            db_from_graphs(
-                [
-                    ("benign/r1/0", "benign", random_graph(vocab, rng)),
-                    ("famA/r1/0", "famA", random_graph(vocab, rng)),
-                    ("famB/r1/0", "famB", random_graph(vocab, rng)),
-                ],
-                vocab,
-            ),
-            vocab,
-        )
-
-    def test_benign_winner_is_benign(self):
-        db, _ = self._db()
-        benign_graph = db.signatures[db.class_labels.index("benign")].graph
-        verdict, pred = classify_binary(benign_graph, db, "x")
-        assert verdict == "benign"
-        assert pred.predicted_label == "benign"
-
-    def test_any_family_winner_is_malware(self):
-        db, _ = self._db()
-        for label in ("famA", "famB"):
-            sig = next(s for s in db.signatures if s.class_label == label)
-            verdict, pred = classify_binary(sig.graph, db, "x")
-            assert verdict == "malware"
-            assert pred.predicted_label == label
-
-    def test_requires_benign_class(self):
-        rng = np.random.default_rng(8)
-        vocab = make_vocab(4)
-        db = db_from_graphs([("famA/r1/0", "famA", random_graph(vocab, rng))], vocab)
-        with pytest.raises(OpsigError):
-            classify_binary(random_graph(vocab, rng), db)
-
-    def test_tie_between_benign_and_malware_uses_id_order(self):
-        rng = np.random.default_rng(9)
-        vocab = make_vocab(4)
-        shared = random_graph(vocab, rng)
-        db = db_from_graphs(
-            [("benign/r1/0", "benign", shared), ("famZ/r1/0", "famZ", shared)], vocab
-        )
-        verdict, pred = classify_binary(random_graph(vocab, rng), db, "x")
-        assert pred.best_signature_id == "benign/r1/0"
-        assert verdict == "benign"
 
 
 class TestClassifyBatch:

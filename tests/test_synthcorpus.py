@@ -9,6 +9,7 @@ from opsig.ingest import format_mnemonic_lines, load_corpus
 from opsig.synthcorpus import (
     CorpusConfig,
     FamilyModel,
+    _walk,
     default_alphabet,
     derive_subfamily,
     generate_corpus,
@@ -203,6 +204,36 @@ class TestSampleSequence:
                 assert np.abs(empirical - model.transition[row]).sum() <= 0.05
                 checked += 1
         assert checked >= 3
+
+
+@st.composite
+def lock_step_walks(draw):
+    """1-6 models, each walked by any number of walks; lengths come from a small pool, so they tie."""
+    models = draw(st.lists(family_models(), min_size=1, max_size=6))
+    lengths = draw(st.lists(st.integers(2, 300), min_size=1, max_size=3))
+    walk = st.tuples(st.sampled_from(models), st.sampled_from(lengths), st.integers(0, 2**32))
+    return draw(st.lists(walk, min_size=1, max_size=10))
+
+
+class TestWalk:
+    @settings(max_examples=100, deadline=None)
+    @given(lock_step_walks())
+    def test_every_walk_equals_its_searchsorted_walk(self, walks):
+        walked = _walk([(model._steps, length, seed) for model, length, seed in walks])
+        assert len(walked) == len(walks)
+        for (model, length, seed), codes in zip(walks, walked):
+            assert tuple(model.alphabet[c] for c in codes) == searchsorted_walk(model, length, seed)
+
+    def test_generated_codes_own_their_memory(self):
+        config = CorpusConfig(
+            families=2, subfamilies_per_family=2, samples_per_subfamily=3,
+            benign_sources=2, samples_per_benign_source=2,
+            alphabet_size=12, length_range=(20, 300), seed=3,
+        )
+        samples, _ = generate_corpus(config)
+        for seq in samples:
+            _, codes = seq.coding
+            assert codes.flags.c_contiguous and codes.base is None
 
 
 class TestGenerateCorpus:

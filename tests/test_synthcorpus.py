@@ -9,6 +9,7 @@ from opsig.ingest import format_mnemonic_lines, load_corpus
 from opsig.synthcorpus import (
     CorpusConfig,
     FamilyModel,
+    _DRAW_BLOCK,
     _walk,
     default_alphabet,
     derive_subfamily,
@@ -223,6 +224,51 @@ class TestWalk:
         assert len(walked) == len(walks)
         for (model, length, seed), codes in zip(walks, walked):
             assert tuple(model.alphabet[c] for c in codes) == searchsorted_walk(model, length, seed)
+
+    def test_step_table_lists_rises_below_last_opcode(self):
+        transition = np.array([
+            [0.25, 0.0, 0.5, 0.25],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.25, 0.25, 0.25, 0.25],
+            [0.5, 0.25, 0.0, 0.0],  # short row: sums to 0.75
+        ])
+        initial = np.array([0.0, 1.0, 0.0, 0.0])
+        model = FamilyModel("f", "f", ("A", "B", "C", "D"), initial, transition)
+        bounds, targets = model._steps
+        inf = np.inf
+        assert bounds.tolist() == [
+            [0.25, 0.75, inf],
+            [inf, inf, inf],
+            [0.25, 0.5, 0.75],
+            [0.5, 0.75, inf],
+            [1.0, inf, inf],
+        ]
+        assert targets.tolist() == [
+            [0, 2, 3, 3],
+            [3, 3, 3, 3],
+            [0, 1, 2, 3],
+            [0, 1, 3, 3],
+            [1, 3, 3, 3],
+        ]
+        assert targets.dtype == np.uint8
+
+    def test_walks_span_several_draw_blocks(self):
+        models = [make_family_model(default_alphabet(20), seed) for seed in (1, 2)]
+        lengths = [
+            2 * _DRAW_BLOCK + 1, _DRAW_BLOCK + 1, _DRAW_BLOCK, _DRAW_BLOCK, _DRAW_BLOCK - 1, 2,
+        ]
+        walks = [(models[i % 2], length, 10 + i) for i, length in enumerate(lengths)]
+        walked = _walk([(model._steps, length, seed) for model, length, seed in walks])
+        for (model, length, seed), codes in zip(walks, walked):
+            assert tuple(model.alphabet[c] for c in codes) == searchsorted_walk(model, length, seed)
+
+    def test_states_share_the_dtype_of_the_largest_alphabet(self):
+        small = make_family_model(default_alphabet(4), 1)
+        large = make_family_model(default_alphabet(300), 2)
+        walked = _walk([(small._steps, 50, 3), (large._steps, 40, 4)])
+        assert [codes.dtype for codes in walked] == [np.uint16, np.uint16]
+        assert tuple(small.alphabet[c] for c in walked[0]) == searchsorted_walk(small, 50, 3)
+        assert tuple(large.alphabet[c] for c in walked[1]) == searchsorted_walk(large, 40, 4)
 
     def test_generated_codes_own_their_memory(self):
         config = CorpusConfig(

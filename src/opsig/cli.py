@@ -33,9 +33,16 @@ from .evaluation import (
     run_crossval,
     write_crossval_reports,
 )
-from .ingest import load_corpus, parse_sample_file
+from .ingest import OpcodeSequence, load_corpus, parse_sample_file
 from .opgraph import DEFAULT_RETAIN_FRACTION, check_retain_fraction, code_corpus, graph_for_sequence
-from .signatures import DEFAULT_SEED, build_database, class_rows, load_database, save_database
+from .signatures import (
+    DEFAULT_SEED,
+    SignatureDatabase,
+    build_database,
+    class_rows,
+    load_database,
+    save_database,
+)
 from .synthcorpus import DEFAULT_CONFIG, generate_corpus, write_corpus
 
 
@@ -153,7 +160,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
         f"(vocabulary size {db.vocabulary.size}) -> {args.db}",
         file=sys.stderr,
     )
+    _note_unsigned_classes(samples, db)
     return 0
+
+
+def _note_unsigned_classes(samples: Sequence[OpcodeSequence], db: SignatureDatabase) -> None:
+    """One note on standard error per class of ``samples`` that ``db`` holds no signature for."""
+    for label in sorted({sample.label for sample in samples} - set(db.class_labels)):
+        print(f"note: class {label!r} has no retained bigram, so it has no signature",
+              file=sys.stderr)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -205,7 +220,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_investigate(args: argparse.Namespace) -> int:
-    db = build_database(load_corpus(args.corpus), retain_fraction=args.retain, monolithic=True)
+    samples = load_corpus(args.corpus)
+    db = build_database(samples, retain_fraction=args.retain, monolithic=True)
+    _note_unsigned_classes(samples, db)
     text = family_similarity_table(db).to_csv()
     print(text, end="")
     if args.out is not None:
@@ -233,7 +250,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OpsigError, OSError) as err:
+    except (OpsigError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -192,6 +192,8 @@ def _crossval(
     """``run_crossval`` over the folds of ``plan``, with ``corpus`` coded as ``coded``."""
     folds = [plan.fold_of(sample) for sample in corpus]
     labels = tuple(sorted({sample.label for sample in corpus}))
+    if BENIGN_LABEL not in labels:  # checked before any fold trains, as the binary view needs it
+        raise OpsigError(f"corpus has no {BENIGN_LABEL!r} class, which the binary view needs")
     position = {label: i for i, label in enumerate(labels)}
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     dropped_test = empty_test = 0

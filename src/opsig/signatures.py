@@ -3,8 +3,10 @@
 A signature is the graph of one group of samples' merged bigram counts, as if
 they were a single sample: ``build_database``, the one way to make them (with
 ``train_database``, its form for an already coded corpus), sums the members'
-retained-count rows and row-normalises the sum. The database
-bundles all per-class signatures with the shared vocabulary and is stored as
+retained-count rows and row-normalises the sum. One class builder serves
+both signature modes, which differ only in how a class's samples are grouped:
+the monolithic baseline makes the class one group, else its clusters do. The
+database bundles all per-class signatures with the shared vocabulary and is stored as
 a single versioned, checksummed JSON document with deterministic byte layout,
 which the saver writes as one text, in one pass over the signatures, and signs
 as the loader checks it: with its layout whitespace deleted.
@@ -138,28 +140,32 @@ def build_signature(
 
 
 def build_class_signatures(
-    rows: np.ndarray,
-    vocab: OpcodeVocabulary,
-    label: str,
-    eps_schedule: tuple[float, ...],
-    min_pts: int,
+    rows: np.ndarray, vocab: OpcodeVocabulary, label: str, config: EvalConfig
 ) -> list[Signature]:
-    """Cluster one class's samples, given as count rows, and build a signature per group.
+    """One class's signatures, from its samples' count rows and a checked ``config``.
 
-    Singleton leftovers yield singleton signatures, so every sample of the
-    class is covered by exactly one signature, except that a group with no
-    retained bigram yields none: its signature would have no weight.
+    A monolithic ``config`` makes the whole class one group, tagged
+    ``monolithic``; a clustered one takes ``multi_round_cluster``'s groups,
+    whose singleton leftovers yield singleton signatures. Either way every
+    sample of the class is covered by exactly one signature, except that a
+    group with no retained bigram yields none: its signature would have no weight.
     """
+    if config.monolithic:
+        groups = [(MONOLITHIC_TAG, slice(None))]
+    else:
+        found = multi_round_cluster(
+            class_matrix(rows, vocab), config.eps_schedule, config.min_pts, family=label
+        )
+        # a sample is named by its row position, so each group's member ids index ``rows``
+        groups = [(group.round_tag, [int(i) for i in group.member_ids]) for group in found.groups]
     signatures = []
     ordinals: dict[str, int] = {}
-    matrix = class_matrix(rows, vocab)
-    for group in multi_round_cluster(matrix, eps_schedule, min_pts, family=label).groups:
-        # a sample is named by its row position, so each group's member ids index ``rows``
-        members = rows[[int(i) for i in group.member_ids]]
+    for round_tag, index in groups:
+        members = rows[index]
         if not members.any():
             continue
-        ordinal = ordinals[group.round_tag] = ordinals.get(group.round_tag, -1) + 1
-        signatures.append(build_signature(members, vocab, label, group.round_tag, ordinal))
+        ordinal = ordinals[round_tag] = ordinals.get(round_tag, -1) + 1
+        signatures.append(build_signature(members, vocab, label, round_tag, ordinal))
     return signatures
 
 
@@ -217,15 +223,9 @@ def train_database(
 ) -> SignatureDatabase:
     """``build_database`` on the coded samples at ``positions``, with ``config`` checked."""
     vocab, classes = class_rows(coded, samples, positions, config.retain_fraction)
-    signatures: list[Signature] = []
-    for label, rows in classes:
-        if config.monolithic:
-            if rows.any():  # a class with no retained bigram would get a weightless signature
-                signatures.append(build_signature(rows, vocab, label, MONOLITHIC_TAG, 0))
-        else:
-            signatures += build_class_signatures(
-                rows, vocab, label, config.eps_schedule, config.min_pts
-            )
+    signatures = [
+        sig for label, rows in classes for sig in build_class_signatures(rows, vocab, label, config)
+    ]
     metadata: dict[str, object] = {
         "retain_fraction": vocab.retain_fraction,
         "eps_schedule": list(config.eps_schedule),

@@ -203,6 +203,61 @@ class TestDomainErrors:
         assert "error: similarity table needs at least two classes" in err
         assert "Traceback" not in err
 
+    def test_eval_without_benign_class_exits_1(self, tiny_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus, corpus, ignore=shutil.ignore_patterns("benign"))
+        assert dispatch(["eval", "--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: corpus has no 'benign' class, which the binary view needs\n"
+        )
+
+    def test_database_too_large_for_memory_exits_1(self, monkeypatch, tmp_path, capsys):
+        def load_database(path):
+            raise MemoryError("Unable to allocate 763. MiB for an array")
+
+        monkeypatch.setattr("opsig.cli.load_database", load_database)
+        sample = tmp_path / "s.ops"
+        sample.write_text("mov\npush\n")
+        db_path = str(tmp_path / "huge.sigdb.json")
+        assert dispatch(["classify", "--db", db_path, "--input", str(sample)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 763. MiB for an array\n"
+
+
+class TestUnsignedClassNotes:
+    """A class in which no sample holds a retained bigram gets no signature, and is named."""
+
+    NOTE = "note: class 'famC' has no retained bigram, so it has no signature\n"
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        root = tmp_path / "corpus"
+        for label, opcodes in (("famA", "MOV\nPUSH\n"), ("benign", "XOR\nNOP\n")):
+            (root / label).mkdir(parents=True)
+            for i in range(10):
+                (root / label / f"{label}{i}.ops").write_text(opcodes * 12)
+        (root / "famC").mkdir()
+        (root / "famC" / "c0.ops").write_text("XOR\nAND\n")
+        return root
+
+    def test_train_names_the_class(self, corpus, tmp_path, capsys):
+        db_path = tmp_path / "model.sigdb.json"
+        assert dispatch(["train", "--corpus", str(corpus), "--db", str(db_path)]) == 0
+        err = capsys.readouterr().err
+        assert f"over 2 classes (vocabulary size 4) -> {db_path}\n{self.NOTE}" in err
+        assert err.count("note:") == 1
+
+    def test_investigate_names_the_class(self, corpus, capsys):
+        assert dispatch(["investigate", "--corpus", str(corpus)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == self.NOTE
+        assert [line.split(",")[0] for line in captured.out.splitlines()] == [
+            "family", "benign", "famA"
+        ]
+
 
 class TestPipeline:
     def test_train_then_classify(self, tiny_corpus, tmp_path, capsys):

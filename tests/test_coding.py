@@ -3,8 +3,8 @@
 ``OpcodeSequence.coding`` is ``(names, codes)`` with ``names[codes[k]] ==
 opcodes[k]``. ``load_corpus`` and the generator store it as they make each
 sample; a sample built by hand codes itself on first use. Whichever made a
-sample, every count taken from it must equal the count taken from a lazily
-coded copy, ``OpcodeSequence(s.sample_id, tuple(s.opcodes), s.label)``.
+sample, every count and graph taken from it must equal the one taken from a
+lazily coded copy, ``OpcodeSequence(s.sample_id, tuple(s.opcodes), s.label)``.
 """
 
 import tempfile
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from opsig.errors import EmptyCorpusError
 from opsig.ingest import OpcodeSequence, load_corpus
-from opsig.opgraph import code_corpus, count_bigrams
+from opsig.opgraph import build_graph, code_corpus, count_bigrams, graph_for_sequence
 from opsig.signatures import build_database, save_database
 from opsig.synthcorpus import (
     DEFAULT_CONFIG,
@@ -146,6 +146,13 @@ def _assert_counts_match_lazy_copies(samples):
             lazy_rows, lazy_dropped = lazily_coded.count_rows(positions, vocab)
             np.testing.assert_array_equal(rows, lazy_rows)
             np.testing.assert_array_equal(dropped, lazy_dropped)
+            for sample, lazy in zip(samples, lazies):
+                graph, dropped = build_graph(count_bigrams(sample), vocab)
+                for found, found_dropped in (
+                    graph_for_sequence(sample, vocab), graph_for_sequence(lazy, vocab)
+                ):
+                    assert found.vector.tobytes() == graph.vector.tobytes()
+                    assert found_dropped == dropped
 
 
 @settings(max_examples=60, deadline=None)

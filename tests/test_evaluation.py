@@ -147,6 +147,16 @@ class TestRunCrossval:
     def test_config_is_the_one_that_training_checks(self):
         assert opsig.EvalConfig is evaluation.EvalConfig is signatures.EvalConfig
 
+    def test_corpus_without_benign_fails_before_any_fold_trains(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a fold trained")
+
+        monkeypatch.setattr(evaluation, "train_database", no_training)
+        corpus = [sample for sample in constant_corpus() if sample.label != "benign"]
+        for run in (run_crossval, baseline_comparison):
+            with pytest.raises(OpsigError, match="corpus has no 'benign' class"):
+                run(corpus, k=5, seed=7)
+
     def test_identical_copies_give_perfect_scores(self):
         result = run_crossval(
             constant_corpus(), k=5, seed=7, config=EvalConfig(retain_fraction=1.0)

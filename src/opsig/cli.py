@@ -251,7 +251,8 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OpsigError, OSError, MemoryError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # a MemoryError raised by the interpreter itself often has no text
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -29,8 +29,8 @@ finds its graph-vector slot through one method, ``OpcodeVocabulary.slot_of``.
 Each sample carries its opcodes' codes from where it was made
 (``OpcodeSequence.coding``), so counting maps a sample's names, not its
 opcodes. Training maps a whole corpus onto one table with ``code_corpus`` and
-takes its vocabularies and count rows from it; ``graph_for_sequence`` maps
-one sample's names onto the vocabulary and gathers its codes. ``build_graph``
+takes its vocabularies and count rows from it; ``graph_for_sequence`` codes
+one freshly parsed sample against the vocabulary directly. ``build_graph``
 takes the same counts as a dict keyed by bigram, as ``count_bigrams`` and
 ``merge_counts`` give them; ``count_bigrams`` counts the pair codes of one
 sample's coding with one ``np.unique``. A count dict's key order is not part
@@ -414,13 +414,8 @@ def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGr
 
 
 def graph_for_sequence(seq: OpcodeSequence, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:
-    """``build_graph(count_bigrams(seq), vocab)``, each opcode pair looked up by ``slot_of``.
-
-    The sample's ``coding`` names are mapped onto ``vocab`` by value, then
-    gathered through its codes, so no opcode is looked up on its own.
-    """
-    names, codes = _checked(seq).coding
-    codes = _vocabulary_codes(names, vocab, len(names))[codes]
+    """``build_graph(count_bigrams(seq), vocab)``, each opcode pair looked up by ``slot_of``."""
+    codes = _vocabulary_codes(_checked(seq).opcodes, vocab, len(seq.opcodes))
     slots = vocab.slot_of(codes[:-1], codes[1:])
     kept = slots[slots >= 0]
     (graph,) = normalized_graphs([np.bincount(kept, minlength=len(vocab.flat_cells))], vocab)

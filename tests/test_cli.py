@@ -213,9 +213,16 @@ class TestDomainErrors:
             "error: corpus has no 'benign' class, which the binary view needs\n"
         )
 
-    def test_database_too_large_for_memory_exits_1(self, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 763. MiB for an array"),
+         "Unable to allocate 763. MiB for an array"),
+        (MemoryError(), "out of memory"),  # as the interpreter itself raises it
+    ])
+    def test_database_too_large_for_memory_exits_1(
+        self, error, line, monkeypatch, tmp_path, capsys
+    ):
         def load_database(path):
-            raise MemoryError("Unable to allocate 763. MiB for an array")
+            raise error
 
         monkeypatch.setattr("opsig.cli.load_database", load_database)
         sample = tmp_path / "s.ops"
@@ -224,7 +231,7 @@ class TestDomainErrors:
         assert dispatch(["classify", "--db", db_path, "--input", str(sample)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: Unable to allocate 763. MiB for an array\n"
+        assert captured.err == f"error: {line}\n"
 
 
 class TestUnsignedClassNotes:

@@ -33,7 +33,7 @@ from .evaluation import (
     run_crossval,
     write_crossval_reports,
 )
-from .ingest import OpcodeSequence, load_corpus, parse_sample_file
+from .ingest import SAMPLE_DIALECTS, OpcodeSequence, load_corpus, parse_sample_file
 from .opgraph import DEFAULT_RETAIN_FRACTION, check_retain_fraction, code_corpus, graph_for_sequence
 from .signatures import (
     DEFAULT_SEED,
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="classify one sample against a database")
     p_classify.add_argument("--db", required=True)
     p_classify.add_argument("--input", required=True, help="sample file")
-    p_classify.add_argument("--dialect", choices=("lines", "linear-listing"),
+    p_classify.add_argument("--dialect", choices=SAMPLE_DIALECTS,
                             default="lines", help="input format (default %(default)s)")
     p_classify.set_defaults(func=_cmd_classify)
 
@@ -173,8 +173,7 @@ def _note_unsigned_classes(samples: Sequence[OpcodeSequence], db: SignatureDatab
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     db = load_database(args.db)
-    dialect = None if args.dialect == "lines" else args.dialect
-    seq = parse_sample_file(args.input, dialect=dialect)
+    seq = parse_sample_file(args.input, dialect=args.dialect)
     graph, dropped = graph_for_sequence(seq, db.vocabulary)
     if dropped:
         print(f"note: {dropped} bigram occurrences outside the vocabulary", file=sys.stderr)
@@ -235,7 +234,7 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
 
 def _cmd_cluster_report(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    vocab, classes = class_rows(code_corpus(corpus), corpus, range(len(corpus)), args.retain)
+    vocab, classes = class_rows(code_corpus(corpus), range(len(corpus)), args.retain)
     matrices = {label: class_matrix(rows, vocab) for label, rows in classes}
     print(cluster_report_csv(matrices, args.eps, args.min_pts), end="")
     return 0

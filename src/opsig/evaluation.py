@@ -41,9 +41,6 @@ class FoldPlan:
     seed: int
     assignments: dict[str, dict[str, int]]
 
-    def fold_of(self, sample: OpcodeSequence) -> int:
-        return self.assignments[sample.label][sample.sample_id]
-
 
 def stratified_kfold(
     corpus: Sequence[OpcodeSequence], k: int = DEFAULT_K, seed: int = DEFAULT_SEED
@@ -183,15 +180,14 @@ def run_crossval(
     """
     config = (config or EvalConfig()).checked(seed)
     plan = stratified_kfold(corpus, k, seed)
-    return _crossval(corpus, plan, code_corpus(corpus), config)
+    return _crossval(plan, code_corpus(corpus), config)
 
 
-def _crossval(
-    corpus: Sequence[OpcodeSequence], plan: FoldPlan, coded: CodedCorpus, config: EvalConfig
-) -> CrossvalResult:
-    """``run_crossval`` over the folds of ``plan``, with ``corpus`` coded as ``coded``."""
-    folds = [plan.fold_of(sample) for sample in corpus]
-    labels = tuple(sorted({sample.label for sample in corpus}))
+def _crossval(plan: FoldPlan, coded: CodedCorpus, config: EvalConfig) -> CrossvalResult:
+    """``run_crossval`` of the corpus coded as ``coded``, over the folds of ``plan``."""
+    ids, truth = coded.sample_ids, coded.labels
+    folds = [plan.assignments[label][sample_id] for sample_id, label in zip(ids, truth)]
+    labels = tuple(sorted(set(truth)))
     if BENIGN_LABEL not in labels:  # checked before any fold trains, as the binary view needs it
         raise OpsigError(f"corpus has no {BENIGN_LABEL!r} class, which the binary view needs")
     position = {label: i for i, label in enumerate(labels)}
@@ -200,13 +196,13 @@ def _crossval(
     signatures_per_fold: list[int] = []
     for fold in range(plan.k):
         try:
-            train = [i for i in range(len(corpus)) if folds[i] != fold]
-            test = [i for i in range(len(corpus)) if folds[i] == fold]
-            db = train_database(coded, corpus, train, config, plan.seed)
+            train = [i for i in range(len(folds)) if folds[i] != fold]
+            test = [i for i in range(len(folds)) if folds[i] == fold]
+            db = train_database(coded, train, config, plan.seed)
             rows, dropped = coded.count_rows(test, db.vocabulary)
             dropped_test += int(dropped.sum())
             batch = [
-                (corpus[i].sample_id, graph)
+                (ids[i], graph)
                 for i, graph in zip(test, normalized_graphs(rows, db.vocabulary))
             ]
             predictions = classify_batch(batch, db)
@@ -216,7 +212,7 @@ def _crossval(
                     continue
                 if isinstance(prediction, OpsigError):
                     raise prediction
-                counts[position[corpus[i].label], position[prediction.predicted_label]] += 1
+                counts[position[truth[i]], position[prediction.predicted_label]] += 1
             signatures_per_fold.append(len(db.signatures))
         except OpsigError as err:
             raise OpsigError(f"fold {fold} failed: {err}") from err
@@ -286,8 +282,8 @@ def baseline_comparison(
     config = (config or EvalConfig()).checked(seed)
     plan = stratified_kfold(corpus, k, seed)
     coded = code_corpus(corpus)
-    clustered = _crossval(corpus, plan, coded, replace(config, monolithic=False))
-    monolithic = _crossval(corpus, plan, coded, replace(config, monolithic=True))
+    clustered = _crossval(plan, coded, replace(config, monolithic=False))
+    monolithic = _crossval(plan, coded, replace(config, monolithic=True))
     delta = clustered.metrics.macro_tpr - monolithic.metrics.macro_tpr
     return BaselineComparison(clustered, monolithic, delta)
 

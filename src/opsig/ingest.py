@@ -29,6 +29,7 @@ from .errors import EmptyCorpusError, EmptySampleError, ParseError
 BENIGN_LABEL = "benign"
 OPS_SUFFIX = ".ops"
 LISTING_DIALECTS = ("linear-listing",)
+SAMPLE_DIALECTS = ("lines", *LISTING_DIALECTS)  # "lines": one mnemonic per line
 
 _COMMENT_PREFIX = "#"
 _HEX_BYTE = re.compile(r"^[0-9a-fA-F]{2}$")
@@ -166,11 +167,13 @@ def _read_sample_text(path: Path) -> str:
         raise ParseError(f"cannot read sample file {path}: {exc}") from exc
 
 
-def parse_sample_file(path: str | Path, dialect: str | None = None) -> OpcodeSequence:
-    """Read one unlabelled sample file named by its stem; ``dialect=None`` reads mnemonic lines."""
+def parse_sample_file(path: str | Path, dialect: str = "lines") -> OpcodeSequence:
+    """Read one unlabelled sample file named by its stem, in one of ``SAMPLE_DIALECTS``."""
+    if dialect not in SAMPLE_DIALECTS:
+        raise ParseError(f"unsupported dialect {dialect!r}; expected one of {SAMPLE_DIALECTS}")
     path = Path(path)
     text = _read_sample_text(path)
-    if dialect is None:
+    if dialect == "lines":
         return parse_mnemonic_lines(text, path.stem)
     return parse_disassembly_listing(text, dialect, path.stem)
 

@@ -224,14 +224,15 @@ def build_vocabulary(
 
 @dataclass(frozen=True, eq=False)
 class CodedCorpus:
-    """Every sample's bigram counts, coded once as integers.
+    """Every sample's id, label and bigram counts, the counts coded once as integers.
 
     ``opcodes`` is the corpus's sorted opcode table: every name of the samples'
     codings, so it may hold a name that no sample uses (an alphabet name no
     walk reached), which no bigram then holds. Row ``k`` of ``bigram_codes``
     holds the table indices of distinct bigram ``k``, in lexicographic order.
     Sample ``i`` has ``counts[j]`` occurrences of distinct bigram ``pairs[j]``
-    for each ``j`` in ``range(offsets[i], offsets[i + 1])``.
+    for each ``j`` in ``range(offsets[i], offsets[i + 1])``. It is the
+    ``i``-th sample coded, with id ``sample_ids[i]`` and label ``labels[i]``.
     """
 
     opcodes: list[str]
@@ -239,6 +240,8 @@ class CodedCorpus:
     pairs: np.ndarray
     counts: np.ndarray
     offsets: np.ndarray
+    sample_ids: tuple[str, ...]
+    labels: tuple[str | None, ...]
 
     @cached_property
     def bigrams(self) -> list[Bigram]:
@@ -290,7 +293,7 @@ def _vocabulary_codes(opcodes: Iterable[str], vocab: OpcodeVocabulary, length: i
 
 
 def code_corpus(samples: Sequence[OpcodeSequence]) -> CodedCorpus:
-    """Map every sample's ``coding`` onto one sorted table and count its bigrams.
+    """Map every sample's ``coding`` onto one sorted table and count its bigrams, in input order.
 
     The table holds every name of every sample's coding, by value. A sample
     maps its names to table indices through a dict, once per distinct names
@@ -314,7 +317,10 @@ def code_corpus(samples: Sequence[OpcodeSequence]) -> CodedCorpus:
     bigram_codes = np.stack(np.divmod(pair_ids, width), axis=1)
     offsets = np.zeros(len(samples) + 1, dtype=np.intp)
     np.cumsum([len(p) for p in sample_pairs], out=offsets[1:])
-    return CodedCorpus(table, bigram_codes, pairs, np.concatenate(sample_counts), offsets)
+    return CodedCorpus(
+        table, bigram_codes, pairs, np.concatenate(sample_counts), offsets,
+        tuple(sample.sample_id for sample in samples), tuple(sample.label for sample in samples),
+    )
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -109,21 +109,18 @@ class SignatureDatabase:
 
 
 def class_rows(
-    coded: CodedCorpus,
-    samples: Sequence[OpcodeSequence],
-    positions: Sequence[int],
-    retain_fraction: float,
+    coded: CodedCorpus, positions: Sequence[int], retain_fraction: float
 ) -> tuple[OpcodeVocabulary, Iterator[tuple[str, np.ndarray]]]:
     """The vocabulary of the samples at ``positions`` and each class's count rows over it.
 
-    ``samples`` are the samples ``coded`` was made from. Classes come in sorted
-    label order, and each class's rows in ``sample_id`` order.
+    Classes come in sorted label order, and each class's rows in ``sample_id`` order.
     """
+    ids, labels = coded.sample_ids, coded.labels
     by_label: dict[str, list[int]] = {}
-    for i in sorted(positions, key=lambda position: samples[position].sample_id):
-        if not samples[i].label:  # None or "", which no saved database may hold
-            raise ValueError(f"training sample {samples[i].sample_id!r} has no class label")
-        by_label.setdefault(samples[i].label, []).append(i)
+    for i in sorted(positions, key=ids.__getitem__):
+        if not labels[i]:  # None or "", which no saved database may hold
+            raise ValueError(f"training sample {ids[i]!r} has no class label")
+        by_label.setdefault(labels[i], []).append(i)
     vocab = coded.vocabulary(positions, retain_fraction)
     # one class's count rows at a time: the whole corpus's would raise peak memory
     rows = ((label, coded.count_rows(by_label[label], vocab)[0]) for label in sorted(by_label))
@@ -182,13 +179,16 @@ class EvalConfig:
         """This config with every setting checked and normalised, ``seed`` included.
 
         The schedule is read once, into a tuple of floats, then ``min_pts``,
-        ``seed`` and ``retain_fraction`` are checked; a bad one is a ``ValueError``.
+        ``seed``, ``retain_fraction`` and ``monolithic`` (a ``bool`` or a numpy
+        bool, kept as a ``bool``) are checked; a bad one is a ``ValueError``.
         """
         eps_schedule = validate_eps_schedule(self.eps_schedule)
         min_pts = check_integer("min_pts", self.min_pts, 1)
         check_integer("seed", seed, 0)
         retain_fraction = check_retain_fraction(self.retain_fraction)
-        return EvalConfig(retain_fraction, eps_schedule, min_pts, self.monolithic)
+        if not isinstance(self.monolithic, (bool, np.bool_)):
+            raise ValueError(f"monolithic must be a bool, got {self.monolithic!r}")
+        return EvalConfig(retain_fraction, eps_schedule, min_pts, bool(self.monolithic))
 
 
 def build_database(
@@ -211,18 +211,14 @@ def build_database(
     if not samples:
         raise EmptyCorpusError("cannot train on an empty corpus")
     config = EvalConfig(retain_fraction, eps_schedule, min_pts, monolithic).checked(seed)
-    return train_database(code_corpus(samples), samples, range(len(samples)), config, seed)
+    return train_database(code_corpus(samples), range(len(samples)), config, seed)
 
 
 def train_database(
-    coded: CodedCorpus,
-    samples: Sequence[OpcodeSequence],
-    positions: Sequence[int],
-    config: EvalConfig,
-    seed: int,
+    coded: CodedCorpus, positions: Sequence[int], config: EvalConfig, seed: int
 ) -> SignatureDatabase:
     """``build_database`` on the coded samples at ``positions``, with ``config`` checked."""
-    vocab, classes = class_rows(coded, samples, positions, config.retain_fraction)
+    vocab, classes = class_rows(coded, positions, config.retain_fraction)
     signatures = [
         sig for label, rows in classes for sig in build_class_signatures(rows, vocab, label, config)
     ]

@@ -226,6 +226,8 @@ class TestRunCrossval:
             {"min_pts": 1.5},
             {"seed": -1},
             {"seed": 2.7},
+            {"monolithic": "no"},  # a truthy string would train monolithic signatures
+            {"monolithic": 0},
         ],
     )
     def test_bad_setting_raised_before_coding(self, monkeypatch, comparison, setting):

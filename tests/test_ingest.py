@@ -259,6 +259,18 @@ class TestParseSampleFile:
         seq = parse_sample_file(path, dialect="linear-listing")
         assert seq.opcodes == ("PUSH", "MOV")
 
+    def test_lines_dialect_is_the_default(self, tmp_path):
+        path = tmp_path / "x.ops"
+        path.write_text("mov\npush\n", encoding="utf-8")
+        assert parse_sample_file(path, dialect="lines") == parse_sample_file(path)
+
+    @pytest.mark.parametrize("dialect", [None, "intel-hex", "LINES"])
+    def test_unknown_dialect_rejected(self, tmp_path, dialect):
+        path = tmp_path / "x.ops"
+        path.write_text("mov\npush\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="unsupported dialect .*'lines', 'linear-listing'"):
+            parse_sample_file(path, dialect=dialect)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_sample_file(tmp_path / "gone.ops")

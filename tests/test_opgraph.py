@@ -261,6 +261,19 @@ def assert_rows_match_reference(coded, samples, positions, vocab):
         assert sample_dropped == expected_dropped
 
 
+def test_coded_corpus_keeps_ids_and_labels_in_input_order():
+    samples = [
+        OpcodeSequence("s2", ("MOV", "ADD"), "famB"),
+        OpcodeSequence("s0", ("ADD",)),
+        OpcodeSequence("s1", ("NOP", "NOP"), "benign"),
+        OpcodeSequence("s3", ("ADD", "MOV"), "famB"),
+    ]
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
+        coded = code_corpus([samples[i] for i in order])
+        assert coded.sample_ids == tuple(samples[i].sample_id for i in order)
+        assert coded.labels == tuple(samples[i].label for i in order)
+
+
 def test_count_rows_match_reference_on_unseen_and_one_opcode_samples():
     opcodes = [("ADD", "MOV", "ADD", "MOV", "JMP"), ("ADD",), ("NOP", "NOP"), ("ADD", "NOP", "MOV")]
     samples = [OpcodeSequence(f"s{i}", ops) for i, ops in enumerate(opcodes)]

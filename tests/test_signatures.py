@@ -288,6 +288,21 @@ class TestBuildDatabase:
         with pytest.raises(ValueError):
             build_database(toy_corpus(), **setting)
 
+    @pytest.mark.parametrize("monolithic", ["no", "False", 0, 1, None, np.array([True])])
+    def test_non_bool_monolithic_raised_before_coding(self, monkeypatch, monolithic):
+        """A truthy string would otherwise train a monolithic database."""
+        monkeypatch.setattr(signatures, "code_corpus", _no_coding)
+        with pytest.raises(ValueError, match="^monolithic must be a bool, got "):
+            build_database(toy_corpus(), monolithic=monolithic)
+
+    def test_numpy_bool_monolithic_kept_as_bool(self):
+        db = build_database(toy_corpus(), monolithic=np.bool_(True))
+        assert db == build_database(toy_corpus(), monolithic=True)
+        assert db.metadata["signature_mode"] == "monolithic"
+        for flag in (False, True):
+            config = signatures.EvalConfig(monolithic=np.bool_(flag)).checked(7)
+            assert type(config.monolithic) is bool and config.monolithic is flag
+
     @pytest.mark.parametrize("monolithic", [False, True])
     def test_class_without_retained_bigram_gets_no_signature(self, monolithic):
         corpus = toy_corpus() + [OpcodeSequence("z0", ("ZZZ", "QQQ"), "famZ")]

@@ -4,6 +4,9 @@ Sub-family discovery runs DBSCAN over a precomputed distance matrix once per
 eps value of an ascending schedule: each round clusters only the points the
 previous round left as noise, and whatever remains after the last round is
 kept as singleton groups.
+
+``class_matrix`` scores a class's count rows over only the slots its samples
+hold, which gives the bits ``compute_distance_matrix`` gives over every slot.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from .errors import UnknownSampleError, VocabularyMismatchError, check_integer, 
 from .opgraph import (
     OpcodeGraph,
     OpcodeVocabulary,
-    graph_layout,
-    normalized_graphs,
+    normalized_rows,
+    pairwise_scaled_l1,
     same_vocabulary,
-    scaled_l1,
 )
 
 NOISE = -1
@@ -64,17 +66,19 @@ def compute_distance_matrix(graphs: Sequence[tuple[str, OpcodeGraph]]) -> Distan
     for _, graph in graphs[1:]:
         if not same_vocabulary(first.vocab, graph.vocab):
             raise VocabularyMismatchError("all graphs must share one vocabulary")
-    layout = graph_layout([graph.vector for _, graph in graphs])
-    values = scaled_l1(layout, None, first.vocab.size)
-    values += values.T
-    return DistanceMatrix(ids, values)
+    rows = np.stack([graph.vector for _, graph in graphs])
+    return DistanceMatrix(ids, pairwise_scaled_l1(rows, first.vocab.size))
 
 
 def class_matrix(rows: np.ndarray, vocab: OpcodeVocabulary) -> DistanceMatrix:
-    """Distances between the graphs of one class's count rows; row ``i`` is named ``str(i)``."""
-    return compute_distance_matrix(
-        [(str(i), graph) for i, graph in enumerate(normalized_graphs(rows, vocab))]
-    )
+    """Distances between the graphs of one class's count rows; row ``i`` is named ``str(i)``.
+
+    Only the slots that some row holds are weighted and scored; no graph is built.
+    """
+    held = np.flatnonzero(rows.any(axis=0))
+    weights = normalized_rows(rows[:, held], vocab, held)
+    values = pairwise_scaled_l1(weights, vocab.size)
+    return DistanceMatrix(tuple(map(str, range(len(rows)))), values)
 
 
 def submatrix(matrix: DistanceMatrix, keep_ids: Iterable[str]) -> DistanceMatrix:

@@ -8,21 +8,25 @@ V x V matrix is a derived view. The distance between two graphs is the total
 absolute difference of their weights, scaled by 1 / (2V) so that scores live
 on [0, 1]: each row is a point on the probability simplex (or all zero), so
 one row pair contributes at most 2. Clustering, classification and the
-similarity table all score graphs with the one kernel, ``scaled_l1``.
+similarity table all score graphs with one kernel: one summation rule and one
+final step (``_finish``).
 
 Weights are non-negative, so ``|a - b| = a + b - 2 min(a, b)`` and the
 distance is ``(mass(a) + mass(b) - 2 * sum(min(a, b))) / 2V``, where a mass is
 the sum of a vector's weights and the sum of minima runs over the slots where
 b is non-zero only: scoring costs follow the sample's support, not the number
-of retained bigrams. The graphs scored against are laid out once, slot-major,
-with their masses (``graph_layout``), and each call scores a whole table of
-queries against them. Every sum adds one term at a time in slot order: a
-block of two or more columns takes one ``np.add.reduce`` over its rows, which
-numpy adds whole row by whole row, first to last, and a single column takes
-the last row of a ``cumsum``, because numpy would reduce it pairwise. Adding a
-zero term changes no bit, so the kernel is exact where it matters: identical
+of retained bigrams. ``scaled_l1`` scores a table of queries against graphs
+laid out once, slot-major, with their masses (``graph_layout``);
+``pairwise_scaled_l1`` scores the rows of one weight matrix against each
+other, which may leave out the slots that no row holds. Every sum adds one
+term at a time in slot order: a block of two or more columns takes one
+``np.add.reduce`` over its rows, which numpy adds whole row by whole row,
+first to last, and a single column takes the last row of a ``cumsum``,
+because numpy would reduce it pairwise. Adding a zero term to a non-negative
+sum changes no bit, so the kernel is exact where it matters: identical
 vectors score exactly 0.0, swapping the two graphs changes no bit, and a pair
-scores the same bits alone as inside any table.
+scores the same bits alone as inside any table, over all slots or over only
+those its table holds.
 
 Both classification and training code opcodes as integers, and every bigram
 finds its graph-vector slot through one method, ``OpcodeVocabulary.slot_of``.
@@ -160,8 +164,7 @@ class OpcodeVocabulary:
     @cached_property
     def _row_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """First slot and slot count of each opcode row that holds a retained bigram."""
-        starts = np.flatnonzero(np.diff(self.cell_rows, prepend=-1))
-        return _read_only(starts), _read_only(np.diff(starts, append=len(self.flat_cells)))
+        return tuple(map(_read_only, _row_spans(self.cell_rows)))
 
     @cached_property
     def _slot_table(self) -> np.ndarray:
@@ -183,6 +186,12 @@ class OpcodeVocabulary:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _row_spans(cell_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First position and length of each run of equal opcode rows in ascending ``cell_rows``."""
+    starts = np.flatnonzero(np.diff(cell_rows, prepend=-1))
+    return starts, np.diff(starts, append=len(cell_rows))
 
 
 def check_retain_fraction(retain_fraction: float) -> float:
@@ -390,16 +399,27 @@ def same_vocabulary(a: OpcodeVocabulary, b: OpcodeVocabulary) -> bool:
     return a is b or a == b
 
 
-def normalized_graphs(rows: np.ndarray, vocab: OpcodeVocabulary) -> list[OpcodeGraph]:
-    """One graph per row of retained counts: each opcode row divided by its own total, if any."""
+def normalized_rows(
+    rows: np.ndarray, vocab: OpcodeVocabulary, slots: np.ndarray | None = None
+) -> np.ndarray:
+    """Rows of retained counts as C-ordered weights: each opcode row divided by its total, if any.
+
+    Column ``k`` counts slot ``slots[k]`` of ``vocab`` (ascending; by default
+    every slot). A slot left out must hold no count, so no total changes.
+    """
     rows = np.asarray(rows, dtype=float)
-    starts, lengths = vocab._row_spans
+    starts, lengths = vocab._row_spans if slots is None else _row_spans(vocab.cell_rows[slots])
     # the counts are integers, so every summation order gives the same exact totals
     totals = np.add.reduceat(rows, starts, axis=1)
     totals[totals == 0.0] = 1.0  # an opcode row with no count divides by 1 and stays zero
     weights = np.repeat(totals, lengths, axis=1)
     np.divide(rows, weights, out=weights)
-    return [OpcodeGraph._wrap(vocab, vector) for vector in weights]
+    return weights
+
+
+def normalized_graphs(rows: np.ndarray, vocab: OpcodeVocabulary) -> list[OpcodeGraph]:
+    """One graph per row of retained counts, weighted by ``normalized_rows`` over every slot."""
+    return [OpcodeGraph._wrap(vocab, vector) for vector in normalized_rows(rows, vocab)]
 
 
 def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:
@@ -461,46 +481,59 @@ def graph_layout(vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]
     return _read_only(columns), _read_only(_sequential_sum(columns))
 
 
+def _finish(mass_sums: np.ndarray, overlaps: np.ndarray, vocab_size: int) -> np.ndarray:
+    """``(mass + mass - 2 * overlap) / 2V``, at most 1, in ``mass_sums``.
+
+    Rounding is monotone and an overlap is at most either mass, so no distance falls below 0.
+    """
+    overlaps *= 2.0  # in place, so a table needs no third array
+    mass_sums -= overlaps
+    mass_sums /= 2.0 * vocab_size
+    return np.minimum(mass_sums, 1.0, out=mass_sums)
+
+
 def scaled_l1(
-    layout: tuple[np.ndarray, np.ndarray],
-    queries: Sequence[np.ndarray] | None,
-    vocab_size: int,
+    layout: tuple[np.ndarray, np.ndarray], queries: Sequence[np.ndarray], vocab_size: int
 ) -> np.ndarray:
     """Table of sum(|graph - query|) / (2V), at most 1, against each graph of a ``graph_layout``.
 
     Row ``q`` scores ``queries[q]``, column ``g`` the layout's graph ``g``.
-    ``queries=None`` scores the layout's own graphs against each other: row
-    ``i`` then holds graph ``i``'s distances to the graphs after it, and every
-    cell on or below the diagonal is 0. Only the slots where a query is
-    non-zero are visited (see the module docstring). Rounding is monotone and
-    each sum of minima is at most either mass, so no distance falls below 0.
+    Only the slots where a query is non-zero are visited (see the module docstring).
     """
     columns, masses = layout
-    if queries is None:  # every support from one nonzero, every mass from the layout
-        owners, cells = np.nonzero(columns.T)
-        values = columns[cells, owners]
-        bounds = np.searchsorted(owners, np.arange(len(masses) + 1)).tolist()
-        query_masses = masses
-    else:
-        query_masses = np.empty(len(queries))
-    overlaps = np.zeros((len(query_masses), len(masses)))
+    query_masses = np.empty(len(queries))
+    overlaps = np.zeros((len(queries), len(masses)))
     for q, row in enumerate(overlaps):
-        if queries is None:  # graph q against the graphs after it
-            start, support = q + 1, slice(bounds[q], bounds[q + 1])
-            slots, weights = cells[support], values[support]
-        else:  # built per row, so a batch holds no per-query arrays at once
-            start, slots = 0, np.flatnonzero(queries[q])
-            weights = queries[q][slots]
-            query_masses[q] = _sequential_sum(weights)
-        terms = columns[slots, start:]
+        slots = np.flatnonzero(queries[q])  # built per row, so a batch holds no per-query arrays
+        weights = queries[q][slots]
+        query_masses[q] = _sequential_sum(weights)
+        terms = columns[slots]
         np.minimum(terms, weights[:, None], out=terms)
-        row[start:] = _sequential_sum(terms)
-    distances = masses + query_masses[:, None]
-    overlaps *= 2.0  # in place, so a class matrix needs no third table
-    distances -= overlaps
-    distances /= 2.0 * vocab_size
-    np.minimum(distances, 1.0, out=distances)
-    return np.triu(distances, 1) if queries is None else distances
+        row[:] = _sequential_sum(terms)
+    return _finish(masses + query_masses[:, None], overlaps, vocab_size)
+
+
+def pairwise_scaled_l1(weights: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Symmetric table of sum(|row i - row j|) / (2V), at most 1, between the rows of ``weights``.
+
+    Each row is one graph over the same ascending slots, of which those no row
+    holds may be left out. Row ``i`` is scored over its support against the
+    rows after it, and the triangle mirrored; a pair gets the bits of ``scaled_l1``.
+    """
+    columns = np.ascontiguousarray(weights.T)
+    masses = _sequential_sum(columns)
+    owners, slots = np.nonzero(weights)
+    values = weights[owners, slots]
+    bounds = np.searchsorted(owners, np.arange(len(weights) + 1)).tolist()
+    overlaps = np.zeros((len(weights), len(weights)))
+    for q, row in enumerate(overlaps):
+        support = slice(bounds[q], bounds[q + 1])
+        terms = columns[slots[support], q + 1 :]
+        np.minimum(terms, values[support, None], out=terms)
+        row[q + 1 :] = _sequential_sum(terms)
+    distances = np.triu(_finish(masses + masses[:, None], overlaps, vocab_size), 1)
+    distances += distances.T
+    return distances
 
 
 def graph_distance(a: OpcodeGraph, b: OpcodeGraph) -> ScoreValue:

@@ -536,7 +536,7 @@ def load_database(path: str | Path) -> SignatureDatabase:
             Signature(
                 _typed(entry["id"], (str,), "id"),
                 _typed(entry["label"], (str,), "label"),
-                OpcodeGraph.from_vector(vocab, vector),
+                OpcodeGraph._wrap(vocab, vector),  # a read-only row of the one table
                 _typed(entry["member_count"], (int,), "member_count"),
                 _typed(entry["round_tag"], (str,), "round_tag"),
             )

@@ -5,6 +5,7 @@ V x V cells, so every property also exercises cells a graph may not use.
 Random count maps may retain no bigram, so graphs are often all zero.
 """
 
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -13,19 +14,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opsig.classifier import RANKING_LENGTH, classify, classify_batch
-from opsig.clusterer import compute_distance_matrix
+from opsig.clusterer import class_matrix, compute_distance_matrix
 from opsig.errors import EmptyGraphError
+from opsig.evaluation import family_similarity_table
 from opsig.opgraph import (
     BigramCounts,
     OpcodeGraph,
     OpcodeVocabulary,
     build_graph,
     _sequential_sum,
+    code_corpus,
     graph_distance,
     graph_layout,
+    normalized_graphs,
     scaled_l1,
 )
-from opsig.signatures import Signature, SignatureDatabase, load_database, save_database
+from opsig.signatures import (
+    Signature,
+    SignatureDatabase,
+    build_database,
+    class_rows,
+    load_database,
+    save_database,
+)
+from opsig.synthcorpus import CorpusConfig, generate_corpus
 
 from helpers import (
     make_vocab,
@@ -330,6 +342,72 @@ def test_every_kernel_caller_equals_the_python_float_reference(data):
     for (_, query), prediction in zip(items, classify_batch(items, db)):
         for signature_id, distance in prediction.ranking:
             assert distance == reference_distance(by_id[signature_id], query)
+
+
+@st.composite
+def class_count_rows(draw):
+    """A vocabulary and 1-8 rows of retained counts over it, as one class's samples give them.
+
+    Rows may be all zero and supports may be disjoint, and some slots often hold
+    no row's count, so the table of held slots differs from the vocabulary's.
+    """
+    vocab = draw(st.one_of(vocabularies(), st.integers(2, 12).map(make_vocab)))
+    size, n = len(vocab.flat_cells), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(1, 50, (n, size)).astype(float)
+    if draw(st.booleans()):  # disjoint supports: each slot may be held by one row only
+        rows[rng.integers(0, n, size) != np.arange(n)[:, None]] = 0.0
+    rows[:, rng.random(size) < draw(st.floats(0.0, 1.0))] = 0.0  # slots no row holds
+    rows[rng.random((n, size)) < draw(st.floats(0.0, 1.0))] = 0.0
+    rows[rng.random(n) < 0.25] = 0.0  # all-zero rows
+    return vocab, rows
+
+
+@PROPERTY
+@given(class_count_rows())
+def test_class_matrix_equals_the_python_float_reference(case):
+    vocab, rows = case
+    values = class_matrix(rows, vocab).values
+    built = normalized_graphs(rows, vocab)
+    graphs = [(str(i), g) for i, g in enumerate(built)]
+    assert values.tobytes() == compute_distance_matrix(graphs).values.tobytes()
+    for i, a in enumerate(built):
+        for j, b in enumerate(built):
+            assert values[i, j] == reference_distance(a, b)
+
+
+def _digest(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+# a small seed-7 corpus: 168 samples, V = 40, 496 retained bigrams, of which a
+# class's samples hold 98-261
+PINNED_CORPUS = CorpusConfig(
+    samples_per_subfamily=6, samples_per_benign_source=3, length_range=(200, 600), seed=7
+)
+
+
+def test_class_matrix_bits_pinned():
+    samples, _ = generate_corpus(PINNED_CORPUS)
+    vocab, classes = class_rows(code_corpus(samples), range(len(samples)), 0.9)
+    digests = {label: _digest(class_matrix(rows, vocab).values) for label, rows in classes}
+    assert digests == {
+        "benign": "a8148e5dc20ff6604fc5e530c4e97ad16e096085f0adc319688a5fbf30800b99",
+        "fam00": "976bd9cbe83d61fed9e23fd31a931f5d97f31bb3a9fb638ce599dea0f9272b93",
+        "fam01": "01dc4d77ba15862377f62e7556741b63337ea1a84934ddd8fd4c0e3d6706ca89",
+        "fam02": "92b8946b078adff4b0277c84080b73f12b11d472182b767d4b2b70d0d4133bb2",
+        "fam03": "f9d93b71a5e05f711ac8ba8c0e248822d77f9a17cebfa1b2a2523b517cb68b27",
+        "fam04": "789c07d154b250d09270a401bff2c888c135c9b0b3e7f2e3e5051f36deb3c894",
+        "fam05": "880aad4661a89641fdc3d8bfa1db22345cecc9d4ba46189b74a7670ca81b3322",
+    }
+
+
+def test_similarity_table_bits_pinned():
+    samples, _ = generate_corpus(PINNED_CORPUS)
+    table = family_similarity_table(build_database(samples, monolithic=True))
+    assert _digest(table.values) == (
+        "c8dff2bcb5507acb857c95c5f68193f98f6bb56ebbb5ab1ed3dff4bbe95e32d5"
+    )
 
 
 @PROPERTY

@@ -5,8 +5,8 @@ eps value of an ascending schedule: each round clusters only the points the
 previous round left as noise, and whatever remains after the last round is
 kept as singleton groups.
 
-``class_matrix`` scores a class's count rows over only the slots its samples
-hold, which gives the bits ``compute_distance_matrix`` gives over every slot.
+``class_matrix`` and the similarity table both score through
+``compute_distance_matrix``, which visits only the slots its graphs hold.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import UnknownSampleError, VocabularyMismatchError, check_integer, 
 from .opgraph import (
     OpcodeGraph,
     OpcodeVocabulary,
-    normalized_rows,
+    normalized_graphs,
     pairwise_scaled_l1,
     same_vocabulary,
 )
@@ -71,14 +71,10 @@ def compute_distance_matrix(graphs: Sequence[tuple[str, OpcodeGraph]]) -> Distan
 
 
 def class_matrix(rows: np.ndarray, vocab: OpcodeVocabulary) -> DistanceMatrix:
-    """Distances between the graphs of one class's count rows; row ``i`` is named ``str(i)``.
-
-    Only the slots that some row holds are weighted and scored; no graph is built.
-    """
-    held = np.flatnonzero(rows.any(axis=0))
-    weights = normalized_rows(rows[:, held], vocab, held)
-    values = pairwise_scaled_l1(weights, vocab.size)
-    return DistanceMatrix(tuple(map(str, range(len(rows)))), values)
+    """Distances between the graphs of one class's count rows; row ``i`` is named ``str(i)``."""
+    return compute_distance_matrix(
+        [(str(i), graph) for i, graph in enumerate(normalized_graphs(rows, vocab))]
+    )
 
 
 def submatrix(matrix: DistanceMatrix, keep_ids: Iterable[str]) -> DistanceMatrix:

@@ -18,7 +18,7 @@ b is non-zero only: scoring costs follow the sample's support, not the number
 of retained bigrams. ``scaled_l1`` scores a table of queries against graphs
 laid out once, slot-major, with their masses (``graph_layout``);
 ``pairwise_scaled_l1`` scores the rows of one weight matrix against each
-other, which may leave out the slots that no row holds. Every sum adds one
+other over only the slots that some row holds. Every sum adds one
 term at a time in slot order: a block of two or more columns takes one
 ``np.add.reduce`` over its rows, which numpy adds whole row by whole row,
 first to last, and a single column takes the last row of a ``cumsum``,
@@ -164,7 +164,8 @@ class OpcodeVocabulary:
     @cached_property
     def _row_spans(self) -> tuple[np.ndarray, np.ndarray]:
         """First slot and slot count of each opcode row that holds a retained bigram."""
-        return tuple(map(_read_only, _row_spans(self.cell_rows)))
+        starts = np.flatnonzero(np.diff(self.cell_rows, prepend=-1))
+        return _read_only(starts), _read_only(np.diff(starts, append=len(self.flat_cells)))
 
     @cached_property
     def _slot_table(self) -> np.ndarray:
@@ -186,12 +187,6 @@ class OpcodeVocabulary:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def _row_spans(cell_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First position and length of each run of equal opcode rows in ascending ``cell_rows``."""
-    starts = np.flatnonzero(np.diff(cell_rows, prepend=-1))
-    return starts, np.diff(starts, append=len(cell_rows))
 
 
 def check_retain_fraction(retain_fraction: float) -> float:
@@ -399,27 +394,16 @@ def same_vocabulary(a: OpcodeVocabulary, b: OpcodeVocabulary) -> bool:
     return a is b or a == b
 
 
-def normalized_rows(
-    rows: np.ndarray, vocab: OpcodeVocabulary, slots: np.ndarray | None = None
-) -> np.ndarray:
-    """Rows of retained counts as C-ordered weights: each opcode row divided by its total, if any.
-
-    Column ``k`` counts slot ``slots[k]`` of ``vocab`` (ascending; by default
-    every slot). A slot left out must hold no count, so no total changes.
-    """
+def normalized_graphs(rows: np.ndarray, vocab: OpcodeVocabulary) -> list[OpcodeGraph]:
+    """One graph per row of retained counts: each opcode row divided by its own total, if any."""
     rows = np.asarray(rows, dtype=float)
-    starts, lengths = vocab._row_spans if slots is None else _row_spans(vocab.cell_rows[slots])
+    starts, lengths = vocab._row_spans
     # the counts are integers, so every summation order gives the same exact totals
     totals = np.add.reduceat(rows, starts, axis=1)
     totals[totals == 0.0] = 1.0  # an opcode row with no count divides by 1 and stays zero
     weights = np.repeat(totals, lengths, axis=1)
     np.divide(rows, weights, out=weights)
-    return weights
-
-
-def normalized_graphs(rows: np.ndarray, vocab: OpcodeVocabulary) -> list[OpcodeGraph]:
-    """One graph per row of retained counts, weighted by ``normalized_rows`` over every slot."""
-    return [OpcodeGraph._wrap(vocab, vector) for vector in normalized_rows(rows, vocab)]
+    return [OpcodeGraph._wrap(vocab, vector) for vector in weights]
 
 
 def build_graph(counts: BigramCounts, vocab: OpcodeVocabulary) -> tuple[OpcodeGraph, int]:
@@ -516,10 +500,11 @@ def scaled_l1(
 def pairwise_scaled_l1(weights: np.ndarray, vocab_size: int) -> np.ndarray:
     """Symmetric table of sum(|row i - row j|) / (2V), at most 1, between the rows of ``weights``.
 
-    Each row is one graph over the same ascending slots, of which those no row
-    holds may be left out. Row ``i`` is scored over its support against the
-    rows after it, and the triangle mirrored; a pair gets the bits of ``scaled_l1``.
+    Each row is one graph over the same slots. Only the slots some row holds
+    are scored, and row ``i`` only over its own support against the rows after
+    it; the triangle is then mirrored, and a pair gets the bits of ``scaled_l1``.
     """
+    weights = weights[:, weights.any(axis=0)]  # a slot no row holds adds only zero terms
     columns = np.ascontiguousarray(weights.T)
     masses = _sequential_sum(columns)
     owners, slots = np.nonzero(weights)

@@ -477,6 +477,10 @@ def load_database(path: str | Path) -> SignatureDatabase:
     a space, another layout or key order, an edit) is decoded whole and its
     payload re-encoded canonically to check the checksum. Either way the
     version is checked right after decoding, then the document's validity.
+
+    Every loaded signature's vector is a read-only row of one signatures x
+    retained-bigrams table, so a signature kept past its database keeps the
+    whole table alive.
     """
     stored = Path(path).read_bytes()
     compact = stored.translate(None, _LAYOUT)
